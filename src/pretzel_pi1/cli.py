@@ -209,7 +209,7 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_nlo(args) -> int:
     slope = parse_slope(args.slope)
-    result = nlo_search(args.s, slope, depth=args.depth, jobs=args.jobs)
+    result = nlo_search(args.s, slope, depth=args.depth)
     document = result.to_json()
     if isinstance(result, Certificate):
         replay = replay_certificate(document)
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     # malformed PRETZEL_PI1_DEPTH is a usage error of nlo alone.
     nlo.add_argument("--depth", type=int,
                      default=os.environ.get("PRETZEL_PI1_DEPTH", "100000"))
-    nlo.add_argument("--jobs", type=int, default=1)
     nlo.add_argument("--cert", metavar="FILE")
     _add_format(nlo)
     nlo.set_defaults(run=_cmd_nlo)

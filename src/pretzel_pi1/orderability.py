@@ -14,20 +14,21 @@ through the surgery identities, which the rules cite explicitly).  This
 k is unrelated to the short-lived generator of the same name inside the
 presentation pipeline; engine inputs are always two-generator groups.
 
-A certificate is the full case tree with per-branch deduction journals;
-replay_certificate re-checks every journal line from scratch, so emitted
-certificates stand on their own.
+Every rule is defined once, in RULES.  The engine records only what a
+rule returns; replay_certificate re-runs the rule of each journal line
+and compares, so emitted certificates stand on their own.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .derivation import check_s, final_relator, longitude_word
-from .surgery import Slope, bezout_k, clasp_word, fact_exponent, h1_order
+from .surgery import (Slope, bezout_k, clasp_identity_holds, clasp_word, fact_exponent,
+                      h1_order)
 from .words import CyclicWord, Word, parse_word, rotation_witness
 
 ENGINE_VERSION = "1.0"
@@ -35,7 +36,7 @@ DEFAULT_DEPTH = 100_000
 
 
 class EngineError(RuntimeError):
-    """An invalid rule application; indicates a bug in a deduction script."""
+    """A rule application the kernel refuses: a bad script or a bad certificate line."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -65,15 +66,178 @@ def _combine(a: Sign, b: Sign) -> Optional[Sign]:
     return None  # strictly mixed products are not signed
 
 
-def pointwise_compare(u: Word, v: Word) -> Word:
-    """x.u > x.v everywhere iff this word is Positive."""
-    return ~v * u
+Fact = tuple[Word, Sign]
+
+K = Word((("k", 1),))
+C = Word((("c", 1),))
+COMPARISON = parse_word("c^-1 l^-1 c^-1 l c l c")  # traded by one relator copy
+ISOLATE_L = parse_word("c l c")  # un-conjugates the traded comparison word to l
 
 
-def relator_rotation_consequence(w: Word, relator: CyclicWord) -> Optional[dict]:
-    """Justification that w is trivial via a single rotated relator copy."""
-    return rotation_witness(w, relator)
+@dataclass(frozen=True)
+class BranchContext:
+    """What a rule may read besides its premises and args.
 
+    Relator cores and H1 are computed at most once per context.
+    """
+    relators: tuple[Word, ...] = ()
+    s: Optional[int] = None
+    slope: Optional[Slope] = None
+    assumptions: list = field(default_factory=list)
+
+    @cached_property
+    def cores(self) -> dict[str, CyclicWord]:
+        """The cyclic core of each relator, keyed by the relator's tokens."""
+        return {r.tokens(): r.cyclic_reduce()[0] for r in self.relators}
+
+    @cached_property
+    def h1(self) -> int:
+        return h1_order(self.s, self.slope)
+
+
+def clash(ctx: BranchContext, a: Fact, b: Fact) -> Optional[str]:
+    """Why classifications a and b cannot both hold, or None.
+
+    A classification clashes with itself when it strictly signs a word
+    that is trivial in the group: the empty word, or a conjugate of one
+    relator copy.
+    """
+    (wa, sa), (wb, sb) = a, b
+    if wa != wb:
+        if sa is not sb.flipped() and wa == ~wb:
+            return "word and inverse both strictly signed"
+        return None
+    if sa is not sb:
+        return "incompatible signs for one word"
+    if sa is Sign.IDENTITY:
+        return None
+    if not wa:
+        return "the empty word moves no point"
+    if any(rotation_witness(wa, core) for core in ctx.cores.values()):
+        return "relator-trivial word strictly signed"
+    return None
+
+
+# -- the rule kernel ----------------------------------------------------------
+# A rule maps (context, premise facts, args, claimed conclusion) to the Fact
+# it derives, or to None when it closes the branch, and raises when it does
+# not apply.  Only assume and relator read the claim: they check a target.
+
+def _is_root_power(word: Word, n: int) -> bool:
+    """word == k^n, decided on the letters without building the power."""
+    letter = ("k", 1 if n > 0 else -1)
+    return len(word) == abs(n) and word.letters.count(letter) == abs(n)
+
+
+def _assume(ctx, prem, args, claim):
+    word, sign = claim
+    if prem or {"word": word.tokens(), "sign": sign.value} not in ctx.assumptions:
+        raise EngineError("an assumption has no premises and is declared by the branch")
+    return word, sign
+
+
+def _power(ctx, prem, args, claim):
+    (word, sign), = prem
+    if int(args["n"]) < 1:
+        raise EngineError("power rule needs n >= 1")
+    return word ** int(args["n"]), sign
+
+
+def _inverse(ctx, prem, args, claim):
+    (word, sign), = prem
+    return ~word, sign.flipped()
+
+
+def _product(ctx, prem, args, claim):
+    (u, a), (v, b) = prem
+    sign = _combine(a, b)
+    if sign is None:
+        raise EngineError("cannot sign a strictly mixed product")
+    return u * v, sign
+
+
+def _conjugate(ctx, prem, args, claim):
+    (word, sign), = prem
+    x = parse_word(args["conjugator"])
+    return x * word * ~x, sign
+
+
+def _relator(ctx, prem, args, claim):
+    """Signs transport along equality witnessed by one copy of the cited relator."""
+    (word, sign), = prem
+    target = claim[0]
+    core = ctx.cores.get(args["relator"])
+    witness = None if core is None else rotation_witness(~target * word, core)
+    if not witness or (witness["rotation"], witness["inverted"]) != (
+            args["rotation"], args["inverted"]):
+        raise EngineError("relator transfer not witnessed by a relator of the group")
+    return target, sign
+
+
+def _peripheral_meridian(ctx, prem, args, claim):
+    """k^q equals the meridian c in the filled group."""
+    (word, sign), = prem
+    slope, vec = ctx.slope, bezout_k(ctx.slope)
+    if not _is_root_power(word, slope.q) or args != {
+            "p": slope.p, "q": slope.q, "bezout": [vec.m, vec.l]}:
+        raise EngineError("peripheral-meridian needs k^q and the slope's bezout pair")
+    return C, sign
+
+
+def _fact_exponent(ctx, prem, args, claim):
+    """The clasp word is k^(-e), e = p - (4s+7)q; trivial when e = 0."""
+    (word, sign), = prem
+    power = -fact_exponent(ctx.s, ctx.slope)
+    clasp = clasp_word(ctx.s)
+    if args != {"clasp_power": power, "p": ctx.slope.p, "q": ctx.slope.q}:
+        raise EngineError("exponent bookkeeping is wrong")
+    if power == 0 and word == clasp:  # the premise is the clasp word's own sign
+        return clasp, Sign.IDENTITY
+    if power == 0 or not _is_root_power(word, power):
+        raise EngineError("the premise is not the cited power of the root")
+    return clasp, sign
+
+
+def _abelian_obstruction(ctx, prem, args, claim):
+    """A trivially acting meridian kills H1, which has order > 1."""
+    if prem != ((C, Sign.IDENTITY),) or args != {"h1_order": ctx.h1} or ctx.h1 < 2:
+        raise EngineError("needs a trivially acting meridian and H1 of order > 1")
+    return None
+
+
+def _contradiction(ctx, prem, args, claim):
+    a, b = prem
+    if clash(ctx, a, b) is None:
+        raise EngineError("the premises are compatible")
+    return None
+
+
+RULES = {
+    "assume": _assume,
+    "power": _power,
+    "inverse": _inverse,
+    "product": _product,
+    "conjugate": _conjugate,
+    "relator": _relator,
+    "peripheral-meridian": _peripheral_meridian,
+    "fact-exponent": _fact_exponent,
+    "abelian-obstruction": _abelian_obstruction,
+    "contradiction": _contradiction,
+}
+
+
+def _transfer_args(ctx: BranchContext, word: Word, target: Word) -> dict:
+    """Relator-rule args citing the relator copy that equates word and target."""
+    diff = ~target * word
+    for tokens, core in ctx.cores.items():
+        witness = rotation_witness(diff, core)
+        if witness:
+            return {"relator": tokens, "rotation": witness["rotation"],
+                    "inverted": witness["inverted"]}
+    raise EngineError(f"{word} and {target} differ by no single relator copy")
+
+
+# -- the engine ---------------------------------------------------------------
 
 @dataclass
 class JournalLine:
@@ -98,131 +262,96 @@ class JournalLine:
 
 class Contradiction(Exception):
     def __init__(self, line_index: int):
-        self.line_index = line_index
         super().__init__(f"contradiction at journal line {line_index}")
 
 
 @dataclass
 class ConeState:
-    """Partial sign assignment with its deduction journal and budget."""
-    relators: tuple[Word, ...] = ()
+    """Partial sign assignment with its deduction journal and budget.
+
+    Lines enter only through `apply`, which records what a RULES entry
+    returns and checks each new classification with `clash` against
+    itself and the signs already known for its word and inverse.
+    """
+    ctx: BranchContext = field(default_factory=BranchContext)
     budget: int = DEFAULT_DEPTH
     used: int = 0
     journal: list[JournalLine] = field(default_factory=list)
     signs: dict = field(default_factory=dict)
     outcome: str = "open"  # open | contradiction | budget
 
-    def sign_of(self, word: Word) -> Optional[Sign]:
-        entry = self.signs.get(word.letters)
-        return entry[0] if entry else None
+    def fact(self, idx: int) -> Fact:
+        if not 0 <= idx < len(self.journal) or self.journal[idx].word is None:
+            raise EngineError(f"line {idx} is not a classification")
+        return self.journal[idx].word, self.journal[idx].sign
 
-    def line_of(self, word: Word) -> Optional[int]:
-        entry = self.signs.get(word.letters)
-        return entry[1] if entry else None
-
-    def _contradict(self, a: int, b: int, note: str) -> None:
-        self.journal.append(JournalLine("contradiction", (a, b), {}, None, None, note))
-        self.outcome = "contradiction"
-        raise Contradiction(len(self.journal) - 1)
-
-    def close(self, rule: str, premises: tuple[int, ...], args: dict,
-              note: str = "") -> None:
-        """Terminal rule: close the branch with a named obstruction."""
-        self.journal.append(JournalLine(rule, premises, args, None, None, note))
-        self.outcome = "contradiction"
-        raise Contradiction(len(self.journal) - 1)
-
-    def record(self, rule: str, premises: tuple[int, ...], args: dict,
-               word: Word, sign: Sign, note: str = "") -> int:
-        """Append a justified classification and police consistency."""
+    def apply(self, rule: str, premises: tuple[int, ...], args: dict,
+              claim: Optional[Fact] = None, note: str = "") -> int:
+        """Run RULES[rule] on recorded premises and record its conclusion."""
         if self.outcome == "contradiction":
             raise EngineError("branch already closed")
+        conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
+                                 args, claim)
+        if conclusion is None:  # closing lines are not charged to the budget
+            self._close(rule, premises, args, note)
         self.used += 1
         if self.used > self.budget:
             self.outcome = "budget"
             raise BudgetExhausted(f"depth budget {self.budget} exhausted")
+        word, sign = conclusion
         self.journal.append(JournalLine(rule, premises, args, word, sign, note))
         idx = len(self.journal) - 1
-        if not word and sign is not Sign.IDENTITY:
-            self._contradict(idx, idx, "the empty word moves no point")
-        existing = self.signs.get(word.letters)
-        if existing and existing[0] is not sign:
-            self._contradict(idx, existing[1], "incompatible signs for one word")
-        inv_entry = self.signs.get((~word).letters)
-        if inv_entry and inv_entry[0] is not sign.flipped():
-            self._contradict(idx, inv_entry[1], "word and inverse both strictly signed")
-        if sign is not Sign.IDENTITY:
-            for relator in self.relators:
-                if word and rotation_witness(word, relator.cyclic_reduce()[0]):
-                    self._contradict(idx, idx, "relator-trivial word strictly signed")
-        if existing is None:
-            self.signs[word.letters] = (sign, idx)
+        partners = [(idx, conclusion)]
+        for known in (word, ~word):
+            entry = self.signs.get(known.letters)
+            if entry:
+                partners.append((entry[1], (known, entry[0])))
+        for other_idx, other in partners:
+            reason = clash(self.ctx, conclusion, other)
+            if reason:
+                self._close("contradiction", (idx, other_idx), {}, reason)
+        self.signs.setdefault(word.letters, (sign, idx))
         return idx
+
+    def _close(self, rule: str, premises: tuple[int, ...], args: dict, note: str):
+        self.journal.append(JournalLine(rule, premises, args, None, None, note))
+        self.outcome = "contradiction"
+        raise Contradiction(len(self.journal) - 1)
 
 
 class Engine:
-    """Rule layer over ConeState: every method validates, then records."""
+    """Script layer over ConeState: each method names a rule and its inputs."""
 
     def __init__(self, relators: tuple[Word, ...] = (), budget: int = DEFAULT_DEPTH):
-        self.state = ConeState(relators=relators, budget=budget)
+        self.state = ConeState(BranchContext(tuple(relators)), budget)
 
     @property
     def journal(self):
         return self.state.journal
 
-    def _premise(self, idx: int) -> JournalLine:
-        line = self.state.journal[idx]
-        if line.word is None:
-            raise EngineError(f"line {idx} is not a classification")
-        return line
-
     def assume(self, word: Word, sign: Sign, note: str = "") -> int:
-        return self.state.record("assume", (), {}, word, sign, note)
+        """Declare word ~ sign a hypothesis of the branch and record it."""
+        declared = {"word": word.tokens(), "sign": sign.value}
+        if declared not in self.state.ctx.assumptions:
+            self.state.ctx.assumptions.append(declared)
+        return self.state.apply("assume", (), {}, (word, sign), note)
 
     def power(self, idx: int, n: int, note: str = "") -> int:
-        if n < 1:
-            raise EngineError("power rule needs n >= 1")
-        line = self._premise(idx)
-        return self.state.record("power", (idx,), {"n": n},
-                                 line.word ** n, line.sign, note)
+        return self.state.apply("power", (idx,), {"n": n}, note=note)
 
     def inverse(self, idx: int, note: str = "") -> int:
-        line = self._premise(idx)
-        return self.state.record("inverse", (idx,), {}, ~line.word,
-                                 line.sign.flipped(), note)
+        return self.state.apply("inverse", (idx,), {}, note=note)
 
     def product(self, i: int, j: int, note: str = "") -> int:
-        a, b = self._premise(i), self._premise(j)
-        sign = _combine(a.sign, b.sign)
-        if sign is None:
-            raise EngineError("cannot sign a strictly mixed product")
-        return self.state.record("product", (i, j), {}, a.word * b.word, sign, note)
+        return self.state.apply("product", (i, j), {}, note=note)
 
     def conjugate(self, idx: int, conjugator: Word, note: str = "") -> int:
-        line = self._premise(idx)
-        word = conjugator * line.word * ~conjugator
-        return self.state.record("conjugate", (idx,),
-                                 {"conjugator": conjugator.tokens()},
-                                 word, line.sign, note)
+        return self.state.apply("conjugate", (idx,),
+                                {"conjugator": conjugator.tokens()}, note=note)
 
     def relator_transfer(self, idx: int, target: Word, note: str = "") -> int:
-        """Signs transport along equality witnessed by one relator copy."""
-        line = self._premise(idx)
-        witness = None
-        used = None
-        for relator in self.state.relators:
-            witness = rotation_witness(~target * line.word,
-                                       relator.cyclic_reduce()[0])
-            if witness:
-                used = relator
-                break
-        if witness is None:
-            raise EngineError(f"{line.word} and {target} differ by no single relator copy")
-        return self.state.record("relator", (idx,),
-                                 {"relator": used.tokens(),
-                                  "rotation": witness["rotation"],
-                                  "inverted": witness["inverted"]},
-                                 target, line.sign, note)
+        args = _transfer_args(self.state.ctx, self.state.fact(idx)[0], target)
+        return self.state.apply("relator", (idx,), args, (target, None), note)
 
 
 # -- blind saturation --------------------------------------------------------
@@ -236,75 +365,58 @@ def saturate(state: ConeState, relators: tuple[Word, ...] = (),
     by rotated relator copies).  Contradictions surface through the
     journal exactly as in scripted runs.
     """
-    state.relators = state.relators + tuple(r for r in relators
-                                            if r not in state.relators)
-    ball = [Word(((g, 1),)) for g in generators]
-    ball += [Word(((g, -1),)) for g in generators]
+    extra = tuple(r for r in relators if r not in state.ctx.relators)
+    state.ctx = replace(state.ctx, relators=state.ctx.relators + extra)
+    ball = [Word(((g, e),)).tokens() for e in (1, -1) for g in generators]
     rotations: list[Word] = []
-    for relator in state.relators:
-        core = relator.cyclic_reduce()[0]
+    for core in state.ctx.cores.values():
         rotations.extend(core.rotations())
         rotations.extend(CyclicWord(~core.word).rotations())
     frontier = [idx for _, idx in sorted(state.signs.values(), key=lambda e: e[1])]
+
+    def emit(rule, premises, args, claim=None):
+        before = len(state.signs)
+        new_idx = state.apply(rule, premises, args, claim)
+        if len(state.signs) > before:
+            frontier.append(new_idx)
+
     try:
         while frontier:
             idx = frontier.pop(0)
-            line = state.journal[idx]
-            if line.word is None:
-                continue
-
-            def emit(rule, premises, args, word, sign, note=""):
-                before = state.signs.get(word.letters)
-                new_idx = state.record(rule, premises, args, word, sign, note)
-                if before is None:
-                    frontier.append(new_idx)
-
-            emit("inverse", (idx,), {}, ~line.word, line.sign.flipped())
-            partners = sorted(state.signs.values(), key=lambda e: e[1])
-            for _, p_idx in partners:
-                other = state.journal[p_idx]
-                if other.word is None:
-                    continue
-                for left, right in ((idx, p_idx), (p_idx, idx)):
-                    u, v = state.journal[left], state.journal[right]
-                    sign = _combine(u.sign, v.sign)
-                    if sign is not None:
-                        emit("product", (left, right), {}, u.word * v.word, sign)
+            word = state.journal[idx].word
+            emit("inverse", (idx,), {})
+            for _, p_idx in sorted(state.signs.values(), key=lambda e: e[1]):
+                for pair in ((idx, p_idx), (p_idx, idx)):
+                    if _combine(*(state.journal[i].sign for i in pair)) is not None:
+                        emit("product", pair, {})
             for x in ball:
-                emit("conjugate", (idx,), {"conjugator": x.tokens()},
-                     x * line.word * ~x, line.sign)
+                emit("conjugate", (idx,), {"conjugator": x})
             for rot in rotations:
-                emit("relator", (idx,), {"relator": rot.tokens(), "rotation": 0,
-                                         "inverted": False},
-                     rot * line.word, line.sign)
-    except Contradiction:
-        pass
-    except BudgetExhausted:
+                target = rot * word
+                emit("relator", (idx,), _transfer_args(state.ctx, word, target),
+                     (target, None))
+    except (Contradiction, BudgetExhausted):
         pass
     return state
 
 
 # -- scripted replays of the order arguments ---------------------------------
 
-K = Word((("k", 1),))
-C = Word((("c", 1),))
-L = Word((("l", 1),))
-
-
-def _power_word(base: Word, n: int) -> Word:
-    return base ** n
+def _filling_engine(s: int, slope: Slope, budget: int) -> Engine:
+    """An engine over the filled group: the knot relator, s and the slope."""
+    engine = Engine(budget=budget)
+    engine.state.ctx = BranchContext((final_relator(s),), s, slope)
+    return engine
 
 
 def _meridian_root_line(engine: Engine, slope: Slope, root_idx: int) -> int:
     """k^q classified, then transported to the meridian c."""
     kq_idx = root_idx if slope.q == 1 else engine.power(
         root_idx, slope.q, note="q-th power of the peripheral root")
-    line = engine._premise(kq_idx)
     pair = bezout_k(slope)
-    return engine.state.record(
+    return engine.state.apply(
         "peripheral-meridian", (kq_idx,),
         {"p": slope.p, "q": slope.q, "bezout": [pair.m, pair.l]},
-        C, line.sign,
         note="k^q equals the meridian in the filled group")
 
 
@@ -317,25 +429,22 @@ def _lemma_chain(engine: Engine, s: int, slope: Slope, root_sign: Sign) -> dict:
     """
     root = engine.assume(K, root_sign, note="root normalization")
     c_idx = _meridian_root_line(engine, slope, root)
-    w = L * C * _power_word(L, s) * C * L  # the clasp prefix l c l^s c l
+    w = parse_word(f"l c l^{s} c l")  # the clasp prefix
     conj_idx = engine.conjugate(c_idx, ~w,
                                 note="meridian conjugated along the clasp prefix")
     prod_idx = engine.product(conj_idx, c_idx)
-    d_word = Word.from_syllables([("c", -1), ("l", -1), ("c", -1),
-                                  ("l", 1), ("c", 1), ("l", 1), ("c", 1)])
-    d_idx = engine.relator_transfer(prod_idx, d_word,
+    d_idx = engine.relator_transfer(prod_idx, COMPARISON,
                                     note="trade the comparison word by one relator copy")
-    l_idx = engine.conjugate(d_idx, C * L * C, note="un-conjugate to isolate l")
+    l_idx = engine.conjugate(d_idx, ISOLATE_L, note="un-conjugate to isolate l")
     return {"root": root, "c": c_idx, "l": l_idx}
 
 
 def replay_lemma_l_positive(s: int, slope: Slope, root_sign: Sign = Sign.POSITIVE,
                             budget: int = DEFAULT_DEPTH) -> Engine:
     """Scripted replay: a strictly signed root forces l to the same sign."""
-    check_s(s)
     if root_sign is Sign.IDENTITY:
         raise EngineError("the identity root is handled by the degenerate branch")
-    engine = Engine(relators=(final_relator(s),), budget=budget)
+    engine = _filling_engine(s, slope, budget)
     _lemma_chain(engine, s, slope, root_sign)
     return engine
 
@@ -352,6 +461,11 @@ class BranchRecord:
         return {"name": self.name, "assumptions": self.assumptions,
                 "journal": [line.to_json() for line in self.journal],
                 "outcome": self.outcome, "note": self.note}
+
+    @staticmethod
+    def of(name: str, engine: Engine, note: str = "") -> "BranchRecord":
+        state = engine.state
+        return BranchRecord(name, state.ctx.assumptions, state.journal, state.outcome, note)
 
 
 @dataclass
@@ -407,11 +521,9 @@ def _params_json(s: int, slope: Slope, depth: int) -> dict:
 
 def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> BranchRecord:
     """The main case: a fixed-point-free root normalized to one sign."""
-    name = "k_positive" if root_sign is Sign.POSITIVE else "k_negative"
-    assumptions = [{"word": "k", "sign": root_sign.value}]
     e = fact_exponent(s, slope)  # p - (4s+7) q
-    engine = Engine(relators=(final_relator(s),), budget=budget)
-    state = engine.state
+    engine = _filling_engine(s, slope, budget)
+    note = ""
     try:
         marks = _lemma_chain(engine, s, slope, root_sign)
         c_idx, l_idx = marks["c"], marks["l"]
@@ -424,56 +536,44 @@ def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> Branch
         t = engine.product(t, c_idx)
         w0_idx = engine.product(t, l_idx, note="the clasp word, signed by products")
         # the peripheral identity: clasp = k^((4s+7)q - p) = k^(-e)
+        args = {"clasp_power": -e, "p": slope.p, "q": slope.q}
         if e < 0:
-            return BranchRecord(
-                name, assumptions, state.journal, "open",
-                note=f"slope below the bound: the clasp word is k^{-e}, a positive "
-                     f"power of the root, consistent with its sign")
-        if e == 0:
-            state.record("fact-exponent", (w0_idx,),
-                         {"clasp_power": 0, "p": slope.p, "q": slope.q},
-                         clasp_word(s), Sign.IDENTITY,
-                         note="zero peripheral exponent: the clasp word is trivial")
+            note = (f"slope below the bound: the clasp word is k^{-e}, a positive "
+                    f"power of the root, consistent with its sign")
+        elif e == 0:
+            engine.state.apply("fact-exponent", (w0_idx,), args,
+                               note="zero peripheral exponent: the clasp word is trivial")
         else:
             kinv = engine.inverse(marks["root"])
             kpow = kinv if e == 1 else engine.power(kinv, e)
-            line = engine._premise(kpow)
-            state.record("fact-exponent", (kpow,),
-                         {"clasp_power": -e, "p": slope.p, "q": slope.q},
-                         clasp_word(s), line.sign,
-                         note="the clasp word is this negative power of the root")
-        raise EngineError("strict branch failed to close")  # pragma: no cover
-    except Contradiction:
-        return BranchRecord(name, assumptions, state.journal, "contradiction")
-    except BudgetExhausted:
-        return BranchRecord(name, assumptions, state.journal, "budget")
+            engine.state.apply("fact-exponent", (kpow,), args,
+                               note="the clasp word is this negative power of the root")
+    except (Contradiction, BudgetExhausted):
+        pass
+    name = "k_positive" if root_sign is Sign.POSITIVE else "k_negative"
+    return BranchRecord.of(name, engine, note)
 
 
 def _identity_branch(s: int, slope: Slope, budget: int) -> BranchRecord:
     """The degenerate case: the root acts trivially."""
-    assumptions = [{"word": "k", "sign": Sign.IDENTITY.value}]
-    engine = Engine(relators=(final_relator(s),), budget=budget)
+    engine = _filling_engine(s, slope, budget)
+    note = ""
     try:
         root = engine.assume(K, Sign.IDENTITY, note="degenerate root")
         c_idx = _meridian_root_line(engine, slope, root)
-        order = h1_order(s, slope)
+        order = engine.state.ctx.h1
         if order == 1 or order == 0:
-            return BranchRecord(
-                "k_identity", assumptions, engine.state.journal, "open",
-                note=f"H1 has order {order}; a trivial meridian is not obstructed")
-        engine.state.close(
-            "abelian-obstruction", (c_idx,), {"h1_order": order},
-            note="a trivially-acting meridian kills H1, which has order > 1")
-        raise EngineError("identity branch failed to close")  # pragma: no cover
-    except Contradiction:
-        return BranchRecord("k_identity", assumptions, engine.state.journal,
-                            "contradiction")
-    except BudgetExhausted:
-        return BranchRecord("k_identity", assumptions, engine.state.journal, "budget")
+            note = f"H1 has order {order}; a trivial meridian is not obstructed"
+        else:
+            engine.state.apply(
+                "abelian-obstruction", (c_idx,), {"h1_order": order},
+                note="a trivially-acting meridian kills H1, which has order > 1")
+    except (Contradiction, BudgetExhausted):
+        pass
+    return BranchRecord.of("k_identity", engine, note)
 
 
-def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH,
-               jobs: int = 1):
+def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):
     """Case tree for non-left-orderability of the filled group.
 
     Returns a Certificate when every branch reaches a contradiction and
@@ -482,15 +582,8 @@ def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH,
     check_s(s)
     if depth < 1:
         raise ValueError("depth budget must be at least 1")
-    tasks = (
-        lambda: _strict_branch(s, slope, Sign.POSITIVE, depth),
-        lambda: _identity_branch(s, slope, depth),
-    )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            branches = list(pool.map(lambda task: task(), tasks))
-    else:
-        branches = [task() for task in tasks]
+    branches = [_strict_branch(s, slope, Sign.POSITIVE, depth),
+                _identity_branch(s, slope, depth)]
     depth_used = sum(len(b.journal) for b in branches)
     if all(b.outcome == "contradiction" for b in branches):
         return Certificate(s, slope, branches, depth_used, depth)
@@ -516,163 +609,73 @@ class ReplayReport:
             f"  - {p}" for p in self.problems)
 
 
-def _check_context(params: dict, problems: list[str]) -> Optional[tuple]:
-    try:
-        s = int(params["s"])
-        slope = Slope(int(params["p"]), int(params["q"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        problems.append(f"bad params: {exc}")
-        return None
-    if parse_word(params.get("relator", "")) != final_relator(s):
-        problems.append("cited relator does not match the knot group relator")
-    if parse_word(params.get("longitude", "")) != longitude_word(s):
-        problems.append("cited longitude does not match")
-    if parse_word(params.get("clasp", "")) != clasp_word(s):
-        problems.append("cited clasp word does not match")
-    # the peripheral identity behind the fact-exponent rule, from scratch
-    lhs = ~longitude_word(s)
-    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
-           * Word.from_syllables([("c", 2 * s - 2)]))
-    if lhs != rhs:
-        problems.append("the free clasp identity fails")
-    return s, slope
+def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
+    """The first problem of the journal, or None when it replays and closes."""
+    facts: list[Optional[Fact]] = []
 
+    def premise(n) -> Fact:
+        if type(n) is not int or not 0 <= n < len(facts) or facts[n] is None:
+            raise EngineError(f"bad premise reference {n!r}")
+        return facts[n]
 
-def _replay_line(i: int, line: dict, parsed: list, ctx, assumptions,
-                 problems: list[str]) -> None:
-    s, slope = ctx
-    rule = line.get("rule")
-    premises = line.get("premises", [])
-    args = line.get("args", {})
-    conclusion = line.get("conclusion", {})
-
-    def premise(n: int):
-        if not (0 <= n < i) or parsed[n] is None:
-            raise ValueError(f"line {i}: bad premise reference {n}")
-        return parsed[n]
-
-    if conclusion.get("contradiction"):
-        if rule == "abelian-obstruction":
-            w, sg = premise(premises[0])
-            if w != C or sg is not Sign.IDENTITY:
-                raise ValueError(f"line {i}: obstruction needs a trivial meridian")
-            order = h1_order(s, slope)
-            if order != int(args["h1_order"]) or order < 2:
-                raise ValueError(f"line {i}: H1 order does not obstruct")
-            parsed.append(None)
-            return
-        if rule != "contradiction" or len(premises) != 2:
-            raise ValueError(f"line {i}: malformed contradiction")
-        (wa, sa), (wb, sb) = premise(premises[0]), premise(premises[1])
-        if premises[0] == premises[1]:
-            # intrinsic clash: a strictly signed trivial word
-            trivial = (not wa and sa is not Sign.IDENTITY) or (
-                sa is not Sign.IDENTITY and rotation_witness(
-                    wa, final_relator(s).cyclic_reduce()[0]) is not None)
-            if not trivial:
-                raise ValueError(f"line {i}: self-contradiction without triviality")
-        elif wa == wb:
-            if sa is sb:
-                raise ValueError(f"line {i}: premises are not incompatible")
-        elif wa == ~wb:
-            if sa is sb.flipped():
-                raise ValueError(f"line {i}: inverse premises are consistent")
-        else:
-            raise ValueError(f"line {i}: contradiction premises are unrelated words")
-        parsed.append(None)
-        return
-
-    word = parse_word(conclusion["word"]) if conclusion.get("word") else Word()
-    sign = Sign(conclusion["sign"])
-    if rule == "assume":
-        if {"word": word.tokens(), "sign": sign.value} not in assumptions:
-            raise ValueError(f"line {i}: assumption not declared by the branch")
-    elif rule == "power":
-        w, sg = premise(premises[0])
-        n = int(args["n"])
-        if n < 1 or word != w ** n or sign is not sg:
-            raise ValueError(f"line {i}: bad power application")
-    elif rule == "inverse":
-        w, sg = premise(premises[0])
-        if word != ~w or sign is not sg.flipped():
-            raise ValueError(f"line {i}: bad inverse application")
-    elif rule == "product":
-        (wa, sa), (wb, sb) = premise(premises[0]), premise(premises[1])
-        if word != wa * wb or _combine(sa, sb) is not sign:
-            raise ValueError(f"line {i}: bad product application")
-    elif rule == "conjugate":
-        w, sg = premise(premises[0])
-        x = parse_word(args["conjugator"])
-        if word != x * w * ~x or sign is not sg:
-            raise ValueError(f"line {i}: bad conjugation")
-    elif rule == "relator":
-        w, sg = premise(premises[0])
-        core = final_relator(s).cyclic_reduce()[0]
-        if rotation_witness(~word * w, core) is None or sign is not sg:
-            raise ValueError(f"line {i}: relator transfer not witnessed")
-    elif rule == "peripheral-meridian":
-        w, sg = premise(premises[0])
-        r, t = args.get("bezout", (None, None))
-        if w != K ** slope.q or word != C or sign is not sg:
-            raise ValueError(f"line {i}: peripheral-meridian shape is wrong")
-        vec = bezout_k(slope)
-        if [vec.m, vec.l] != [r, t]:
-            raise ValueError(f"line {i}: bezout witness does not match")
-    elif rule == "fact-exponent":
-        power = int(args["clasp_power"])
-        if power != -fact_exponent(s, slope) or word != clasp_word(s):
-            raise ValueError(f"line {i}: exponent bookkeeping is wrong")
-        if power == 0:
-            if sign is not Sign.IDENTITY:
-                raise ValueError(f"line {i}: zero exponent must give the identity")
-        else:
-            w, sg = premise(premises[0])
-            if w != K ** power or sign is not sg:
-                raise ValueError(f"line {i}: clasp power does not match the premise")
-    else:
-        raise ValueError(f"line {i}: unknown rule {rule!r}")
-    parsed.append((word, sign))
+    for i, line in enumerate(journal):
+        try:  # a line of the wrong shape fails with one of the errors caught below
+            rule, conclusion = line["rule"], line["conclusion"]
+            if rule not in RULES:
+                raise EngineError(f"unknown rule {rule!r}")
+            claim = None if conclusion == {"contradiction": True} else (
+                parse_word(conclusion["word"]), Sign(conclusion["sign"]))
+            got = RULES[rule](ctx, tuple(premise(n) for n in line["premises"]),
+                              line["args"], claim)
+        except KeyError as exc:
+            return f"line {i}: missing field {exc}"
+        except (EngineError, TypeError, ValueError) as exc:
+            return f"line {i}: {exc}"
+        if got != claim:
+            return f"line {i}: {rule} does not conclude the claimed {conclusion}"
+        facts.append(got)
+    return None if None in facts else "journal never reaches a contradiction"
 
 
 def replay_certificate(cert: dict) -> ReplayReport:
-    """Re-run every journal line of an emitted certificate from scratch."""
+    """Check the JSON shape, then re-derive every journal line with RULES.
+
+    Any input gets a report: OK, or REJECTED with each problem located at
+    a field, or at a branch and journal line.
+    """
     problems: list[str] = []
-    ctx = _check_context(cert.get("params", {}), problems)
-    if ctx is None:
-        return ReplayReport(False, problems)
+    try:
+        params, branches = cert["params"], cert["branches"]
+        s = check_s(params["s"])
+        slope = Slope(params["p"], params["q"])
+        relator = final_relator(s)
+        cited = {"relator": relator, "longitude": longitude_word(s), "clasp": clasp_word(s)}
+        problems += [f"cited {key} does not match the knot group"
+                     for key, word in cited.items() if params[key] != word.tokens()]
+    except KeyError as exc:
+        return ReplayReport(False, [f"bad certificate: missing field {exc}"])
+    except (TypeError, ValueError) as exc:
+        return ReplayReport(False, [f"bad params: {exc}"])
+    if not clasp_identity_holds(s):
+        problems.append("the free clasp identity fails")
     if cert.get("verdict") != "not_left_orderable":
         problems.append(f"unexpected verdict {cert.get('verdict')!r}")
-    branches = cert.get("branches", [])
-    covered = {tuple(sorted((a.get("word"), a.get("sign")) for a in b.get("assumptions", [])))
-               for b in branches}
-    needed = {(("k", "positive"),), (("k", "identity"),)}
-    if not needed <= covered:
+    if not isinstance(branches, list):
+        return ReplayReport(False, problems + ["branches is not a list"])
+    cases = [b.get("assumptions") for b in branches if isinstance(b, dict)]
+    if not ([{"word": "k", "sign": "positive"}] in cases
+            and [{"word": "k", "sign": "identity"}] in cases):
         problems.append("certificate must cover the k-positive and k-identity cases "
                         "(the k-negative case is the recorded orientation mirror)")
-    for branch in branches:
-        name = branch.get("name", "?")
-        parsed: list = []
-        closed = False
-        seen_signs: dict = {}
-        for i, line in enumerate(branch.get("journal", [])):
-            try:
-                _replay_line(i, line, parsed, ctx, branch.get("assumptions", []),
-                             problems)
-            except (ValueError, KeyError, TypeError) as exc:
-                problems.append(f"branch {name}: {exc}")
-                break
-            entry = parsed[-1]
-            if entry is None:
-                closed = True
-                continue
-            word, sign = entry
-            prev = seen_signs.setdefault(word.letters, sign)
-            inv_prev = seen_signs.get((~word).letters)
-            if prev is not sign or (inv_prev is not None
-                                    and inv_prev is not sign.flipped()):
-                closed = True  # the journal itself exhibits the clash
-        if branch.get("outcome") != "contradiction":
+    for n, branch in enumerate(branches):
+        if not isinstance(branch, dict) or not isinstance(branch.get("journal"), list):
+            problems.append(f"branch #{n} is not an object with a journal list")
+            continue
+        name = branch.get("name", f"#{n}")
+        ctx = BranchContext((relator,), s, slope, branch.get("assumptions"))
+        problem = _replay_journal(ctx, branch["journal"])
+        if problem:
+            problems.append(f"branch {name}: {problem}")
+        elif branch.get("outcome") != "contradiction":
             problems.append(f"branch {name}: outcome is not a contradiction")
-        elif not closed:
-            problems.append(f"branch {name}: journal never reaches a contradiction")
     return ReplayReport(not problems, problems)

@@ -11,7 +11,7 @@ are explicit moves, which keeps replay deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from . import smith
@@ -382,11 +382,6 @@ class RewriteLongitude:
     via: str
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        if not p.has_relator(self.via):
-            raise SideConditionViolated(self, f"no relator labeled {self.via!r}")
-        return p
-
 
 Move = (AddGenerator | RemoveGenerator | SubstituteEverywhere | AddRelator
         | RewriteRelator | RemoveRelator | RotateRelator | InvertRelator
@@ -447,11 +442,10 @@ def apply_move(p: Presentation, move: Move,
     if isinstance(move, RewriteLongitude):
         if longitude is None:
             raise SideConditionViolated(move, "no longitude is being tracked")
-        relator = p.relator(move.via) if p.has_relator(move.via) else None
-        if relator is None:
+        if not p.has_relator(move.via):
             raise SideConditionViolated(move, f"no relator labeled {move.via!r}")
         diff = ~move.new_word * longitude
-        if rotation_witness(diff, relator.cyclic_reduce()[0]) is None:
+        if rotation_witness(diff, p.relator(move.via).cyclic_reduce()[0]) is None:
             raise SideConditionViolated(
                 move, "rewrite is not a single consequence of the cited relator")
         return p, move.new_word
@@ -508,83 +502,69 @@ def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> TraceRe
 TRACE_SCHEMA_VERSION = 1
 
 
-def _word_json(word: Optional[Word]):
-    return None if word is None else word.tokens()
-
-
 def _insertion_json(ins: Insertion) -> dict:
     return {"rel": ins.relator, "inv": ins.inverted,
             "conj": ins.conjugator.tokens(), "at": ins.position}
 
 
 def _insertion_from_json(data: dict) -> Insertion:
-    return Insertion(data["rel"], bool(data["inv"]),
+    return Insertion(_text(data["rel"]), bool(data["inv"]),
                      parse_word(data["conj"]), int(data["at"]))
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# kind -> move class; the JSON of a move is its dataclass fields
+MOVE_KINDS = {cls.__name__: cls for cls in Move.__args__}
+
+# decoders by field annotation, a string under `from __future__ import annotations`
+_FIELD_FROM_JSON = {
+    "str": _text,
+    "Optional[str]": lambda text: None if text is None else _text(text),
+    "Word": parse_word,
+    "int": int,
+    "tuple[Insertion, ...]": lambda steps: tuple(_insertion_from_json(s) for s in steps),
+    "Optional[tuple[str, ...]]": lambda labels: (None if labels is None
+                                                 else tuple(map(_text, labels))),
+}
+
+
+def _field_json(value):
+    if isinstance(value, Word):
+        return value.tokens()
+    if isinstance(value, Insertion):
+        return _insertion_json(value)
+    if isinstance(value, tuple):
+        return [_field_json(v) for v in value]
+    return value
+
+
 def move_to_json(move: Move) -> dict:
-    base: dict = {"kind": type(move).__name__}
+    data: dict = {"kind": type(move).__name__}
     if move.macro:
-        base["macro"] = move.macro
-    if isinstance(move, AddGenerator):
-        base.update(gen=move.gen, definition=move.definition.tokens(), label=move.label)
-    elif isinstance(move, RemoveGenerator):
-        base.update(gen=move.gen, via=move.via)
-    elif isinstance(move, SubstituteEverywhere):
-        base.update(gen=move.gen, by=move.by.tokens(), justified_by=move.justified_by,
-                    only_in=list(move.only_in) if move.only_in else None)
-    elif isinstance(move, AddRelator):
-        base.update(label=move.label, word=move.word.tokens(),
-                    derivation=[_insertion_json(s) for s in move.derivation])
-    elif isinstance(move, RewriteRelator):
-        base.update(label=move.label, steps=[_insertion_json(s) for s in move.steps])
-    elif isinstance(move, RemoveRelator):
-        base.update(label=move.label, duplicate_of=move.duplicate_of)
-    elif isinstance(move, RotateRelator):
-        base.update(label=move.label, k=move.k)
-    elif isinstance(move, InvertRelator):
-        base.update(label=move.label)
-    elif isinstance(move, RelabelRelator):
-        base.update(old=move.old, new=move.new)
-    elif isinstance(move, RewriteLongitude):
-        base.update(new_word=move.new_word.tokens(), via=move.via)
-    else:
-        raise PresentationError(f"unknown move {move!r}")
-    return base
+        data["macro"] = move.macro
+    for f in fields(move):
+        if f.name != "macro":
+            data[f.name] = _field_json(getattr(move, f.name))
+    return data
 
 
 def move_from_json(data: dict) -> Move:
-    kind = data["kind"]
-    macro = data.get("macro")
-    if kind == "AddGenerator":
-        return AddGenerator(data["gen"], parse_word(data["definition"]),
-                            data["label"], macro)
-    if kind == "RemoveGenerator":
-        return RemoveGenerator(data["gen"], data["via"], macro)
-    if kind == "SubstituteEverywhere":
-        only = data.get("only_in")
-        return SubstituteEverywhere(data["gen"], parse_word(data["by"]),
-                                    data["justified_by"],
-                                    tuple(only) if only else None, macro)
-    if kind == "AddRelator":
-        return AddRelator(data["label"], parse_word(data["word"]),
-                          tuple(_insertion_from_json(s) for s in data["derivation"]),
-                          macro)
-    if kind == "RewriteRelator":
-        return RewriteRelator(data["label"],
-                              tuple(_insertion_from_json(s) for s in data["steps"]),
-                              macro)
-    if kind == "RemoveRelator":
-        return RemoveRelator(data["label"], data.get("duplicate_of"), macro)
-    if kind == "RotateRelator":
-        return RotateRelator(data["label"], int(data["k"]), macro)
-    if kind == "InvertRelator":
-        return InvertRelator(data["label"], macro)
-    if kind == "RelabelRelator":
-        return RelabelRelator(data["old"], data["new"], macro)
-    if kind == "RewriteLongitude":
-        return RewriteLongitude(parse_word(data["new_word"]), data["via"], macro)
-    raise PresentationError(f"unknown move kind {kind!r}")
+    cls = MOVE_KINDS.get(data["kind"])
+    if cls is None:
+        raise PresentationError(f"unknown move kind {data['kind']!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name in data or f.default is MISSING:
+            try:
+                values[f.name] = _FIELD_FROM_JSON[f.type](data[f.name])
+            except (TypeError, ValueError) as exc:
+                raise PresentationError(f"field {f.name!r}: {exc}") from exc
+    return cls(**values)
 
 
 def presentation_to_json(p: Presentation) -> dict:
@@ -605,18 +585,34 @@ def trace_to_json(trace: DerivationTrace) -> dict:
             "start": presentation_to_json(trace.start),
             "moves": [move_to_json(m) for m in trace.moves],
             "end": presentation_to_json(trace.end),
-            "longitude_start": _word_json(trace.longitude_start),
-            "longitude_end": _word_json(trace.longitude_end)}
+            "longitude_start": _field_json(trace.longitude_start),
+            "longitude_end": _field_json(trace.longitude_end)}
+
+
+def _decoded(where: str, decode, value):
+    try:
+        return decode(value)
+    except KeyError as exc:
+        raise PresentationError(f"{where} has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PresentationError(f"{where}: {exc}") from exc
 
 
 def trace_from_json(data: dict) -> DerivationTrace:
+    """Decode a trace; a missing or mistyped field raises PresentationError naming it."""
+    if not isinstance(data, dict):
+        raise PresentationError(f"a trace is a JSON object, not a {type(data).__name__}")
     if data.get("v") != TRACE_SCHEMA_VERSION:
         raise PresentationError(f"unsupported trace schema version {data.get('v')!r}")
+    for key, kind in (("start", dict), ("moves", list), ("end", dict)):
+        if not isinstance(data.get(key), kind):
+            raise PresentationError(f"trace field {key!r} is missing or not a {kind.__name__}")
     lon_start = data.get("longitude_start")
     lon_end = data.get("longitude_end")
     return DerivationTrace(
-        presentation_from_json(data["start"]),
-        tuple(move_from_json(m) for m in data["moves"]),
-        presentation_from_json(data["end"]),
-        parse_word(lon_start) if lon_start else None,
-        parse_word(lon_end) if lon_end else None)
+        _decoded("start", presentation_from_json, data["start"]),
+        tuple(_decoded(f"move {i}", move_from_json, m)
+              for i, m in enumerate(data["moves"])),
+        _decoded("end", presentation_from_json, data["end"]),
+        _decoded("longitude_start", parse_word, lon_start) if lon_start else None,
+        _decoded("longitude_end", parse_word, lon_end) if lon_end else None)

@@ -129,21 +129,24 @@ def clasp_word(s: int) -> Word:
                                 ("l", s), ("c", 1), ("l", 1)])
 
 
+def clasp_identity_holds(s: int) -> bool:
+    """~longitude == c^(2s+9) * ~clasp * c^(2s-2) by free reduction alone."""
+    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
+           * Word.from_syllables([("c", 2 * s - 2)]))
+    return ~longitude_word(s) == rhs
+
+
 def verify_fact(s: int) -> CheckReport:
     """Free-word half plus exponent bookkeeping of the clasp identity.
 
-    (a) inverting the longitude literally exposes c^(2s+9) * W^-1 * c^(2s-2)
-        with W the clasp word; pure free reduction, no group quotient.
+    (a) the free reduction identity of clasp_identity_holds.
     (b) trading each meridian block for k^q then moves the whole identity
         onto k with exponent p - (4s+7)q; the meridian blocks contribute
         (2s+9) + (2s-2) = 4s+7 copies of q.
     """
     check_s(s)
     report = CheckReport(f"fact s={s}", [])
-    lhs = ~longitude_word(s)
-    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
-           * Word.from_syllables([("c", 2 * s - 2)]))
-    report.checks.append(("free reduction identity", lhs == rhs))
+    report.checks.append(("free reduction identity", clasp_identity_holds(s)))
     report.checks.append(("meridian blocks sum to 4s+7",
                           (2 * s + 9) + (2 * s - 2) == 4 * s + 7))
     return report

@@ -250,10 +250,6 @@ class CyclicWord:
         return None
 
 
-def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
-    return word.cyclic_reduce()
-
-
 def rotation_witness(w: Word, relator: CyclicWord) -> Optional[dict]:
     """Witness that w is conjugate to a rotation of relator or its inverse.
 
@@ -334,6 +330,8 @@ def parse_word(text: str, compact: Optional[bool] = None) -> Word:
     otherwise a string that parses as a single token is one token and
     anything else is treated as compact.
     """
+    if not isinstance(text, str):
+        raise WordError(f"word text must be a string, got {text!r}")
     text = text.strip()
     if not text:
         raise WordError("empty word text (the empty word is written '1')")

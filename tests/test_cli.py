@@ -82,6 +82,22 @@ def test_verify_trace_round_trip(tmp_path):
     assert json.loads(proc.stdout)["passed"] is False
 
 
+def test_verify_trace_malformed_is_a_usage_error(tmp_path):
+    trace_file = tmp_path / "trace.json"
+    run_cli("derive", "--s", "3", "--emit-trace", str(trace_file), check=True)
+    data = json.loads(trace_file.read_text())
+    del data["start"]
+    no_start = tmp_path / "no_start.json"
+    no_start.write_text(json.dumps(data))
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]")
+    for path, named in ((no_start, "'start'"), (a_list, "list")):
+        proc = run_cli("verify", "trace", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+
 def test_h1_output():
     proc = run_cli("h1", "--s", "3", "--slope", "39/2", check=True)
     assert proc.stdout.strip() == "39"

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,18 +13,17 @@ from pretzel_pi1.orderability import (
     Engine,
     EngineError,
     Inconclusive,
+    RULES,
     Sign,
     _identity_branch,
     _strict_branch,
     nlo_search,
-    pointwise_compare,
-    relator_rotation_consequence,
     replay_certificate,
     replay_lemma_l_positive,
     saturate,
 )
 from pretzel_pi1.surgery import Slope
-from pretzel_pi1.words import CyclicWord, Word, W
+from pretzel_pi1.words import CyclicWord, Word, W, rotation_witness
 
 names = st.sampled_from(["c", "l"])
 letters = st.tuples(names, st.sampled_from([1, -1]))
@@ -31,28 +31,29 @@ words = st.lists(letters, max_size=16).map(Word)
 
 
 def test_pointwise_compare_examples():
-    assert pointwise_compare(W("l"), Word()) == W("l")
-    got = pointwise_compare(W("l c l^3 c"), W("c^2"))
+    # x.u > x.v everywhere iff ~v * u is Positive
+    assert ~Word() * W("l") == W("l")
+    got = ~W("c^2") * W("l c l^3 c")
     assert got == W("c^-2 l c l^3 c")
     w = W("c l C")
-    assert pointwise_compare(w, w) == Word()
+    assert ~w * w == Word()
 
 
 @settings(max_examples=80, deadline=None)
 @given(words, words)
 def test_compare_antisymmetry(u, v):
-    assert pointwise_compare(u, v) == ~pointwise_compare(v, u)
+    assert ~v * u == ~(~u * v)
 
 
 def test_rotation_consequence_examples():
     relator = CyclicWord(final_relator(3))
     # the traded comparison identity: clcl^{s-1}clc = lcl^scl
     diff = ~W("l c l^3 c l") * W("c l c l^2 c l c")
-    assert relator_rotation_consequence(diff, relator) is not None
-    assert relator_rotation_consequence(final_relator(3), relator) == {
+    assert rotation_witness(diff, relator) is not None
+    assert rotation_witness(final_relator(3), relator) == {
         "inverted": False, "rotation": 0, "conjugator": Word()}
-    assert relator_rotation_consequence(W("c"), relator) is None
-    assert relator_rotation_consequence(Word(), relator) is None
+    assert rotation_witness(W("c"), relator) is None
+    assert rotation_witness(Word(), relator) is None
 
 
 def test_engine_rules_and_conflicts():
@@ -217,8 +218,8 @@ def test_certificate_exactly_when_slope_reaches_bound():
 
 
 def test_nlo_jobs_deterministic():
-    a = nlo_search(3, Slope(19, 1), jobs=1).to_json()
-    b = nlo_search(3, Slope(19, 1), jobs=2).to_json()
+    a = nlo_search(3, Slope(19, 1)).to_json()
+    b = nlo_search(3, Slope(19, 1)).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -271,3 +272,79 @@ def test_certificates_are_json_serializable():
     cert = nlo_search(4, Slope(23, 1)).to_json()
     encoded = json.dumps(cert, indent=2)
     assert replay_certificate(json.loads(encoded)).ok
+
+
+GOLDEN_CERT = json.loads(
+    (Path(__file__).parent / "data" / "nlo_s3_19_1.json").read_text())
+
+
+DROP = object()
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("path,value,located", [
+    (("branches", 0, "journal", 1, "premises"), [], "branch k_positive: line 1:"),
+    (("branches", 0, "journal", 2), 7, "branch k_positive: line 2:"),
+    (("branches", 1, "journal", 0, "conclusion"), "k", "branch k_identity: line 0:"),
+    (("branches",), 7, "branches"),
+    (("params", "relator"), DROP, "'relator'"),
+    (("params", "s"), 2, "parameter s"),
+])
+def test_replay_reports_malformed_certificates(path, value, located):
+    cert = copy.deepcopy(GOLDEN_CERT)
+    _set(cert, path, value)
+    report = replay_certificate(cert)
+    assert not report.ok
+    assert any(located in problem for problem in report.problems), report.problems
+
+
+def _line_mutants(line):
+    """(field, mutant) pairs, each mutant changing one field of the line."""
+    for key in line:
+        yield key, {k: v for k, v in line.items() if k != key}
+    for key, wrong in (("rule", 7), ("premises", "0"), ("args", []),
+                       ("conclusion", "c"), ("note", 5)):
+        yield key, dict(line, **{key: wrong})
+    for rule in RULES:
+        if rule != line["rule"]:
+            yield "rule", dict(line, rule=rule)
+    for n in range(len(line["premises"])):
+        for shift in (-1, 1):
+            premises = list(line["premises"])
+            premises[n] += shift
+            yield "premises", dict(line, premises=premises)
+    conclusion = line["conclusion"]
+    if "sign" in conclusion:
+        for sign in ("positive", "negative", "identity"):
+            if sign != conclusion["sign"]:
+                yield "conclusion", dict(line, conclusion=dict(conclusion, sign=sign))
+        yield "conclusion", dict(line, conclusion=dict(
+            conclusion, word=conclusion["word"] + " c"))
+    else:
+        yield "conclusion", dict(line, conclusion={"word": "c", "sign": "positive"})
+
+
+def test_replay_rejects_every_single_field_mutant():
+    assert replay_certificate(GOLDEN_CERT).ok
+    mutants = 0
+    for b, branch in enumerate(GOLDEN_CERT["branches"]):
+        for i, line in enumerate(branch["journal"]):
+            for key, mutant in _line_mutants(line):
+                cert = copy.deepcopy(GOLDEN_CERT)
+                cert["branches"][b]["journal"][i] = mutant
+                report = replay_certificate(cert)  # a report, never an exception
+                mutants += 1
+                if key in ("rule", "premises", "conclusion"):
+                    assert not report.ok, (branch["name"], i, mutant)
+                    assert any(f"branch {branch['name']}: line {i}:" in problem
+                               for problem in report.problems), report.problems
+    assert mutants > 400

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from pretzel_pi1.presentations import (
     Insertion,
     InvertRelator,
     Presentation,
+    PresentationError,
     RelabelRelator,
     RemoveGenerator,
     RemoveRelator,
@@ -223,6 +225,7 @@ def test_trace_json_round_trip():
     moves = (
         AddGenerator("z", W("a b"), "rz", macro="demo"),
         SubstituteEverywhere("z", W("a b"), "rz", only_in=("r1",)),
+        SubstituteEverywhere("z", W("a b"), "rz", only_in=()),  # rewrites nothing
         RewriteRelator("r1", (Insertion("r2", True, W("b"), 1),)),
         RotateRelator("r1", 1),
         InvertRelator("r2"),
@@ -239,6 +242,31 @@ def test_trace_json_round_trip():
     again = trace_from_json(data)
     assert again == trace
     assert replay_trace(again).passed
+
+
+def test_trace_from_json_names_the_bad_field():
+    moves = (RotateRelator("r1", 1), RelabelRelator("r2", "r7"))
+    p = BASE
+    for mv in moves:
+        p, _ = apply_move(p, mv)
+    data = trace_to_json(DerivationTrace(BASE, moves, p))
+    missing = copy.deepcopy(data)
+    del missing["moves"][1]["new"]
+    mistyped = copy.deepcopy(data)
+    mistyped["start"]["relators"] = 5
+    not_an_object = copy.deepcopy(data)
+    not_an_object["end"] = "a b"
+    unknown = copy.deepcopy(data)
+    unknown["moves"][0]["kind"] = "Frobnicate"
+    not_a_label = copy.deepcopy(data)
+    not_a_label["moves"][0]["label"] = 7
+    for doc, named in ((missing, "move 1 has no field 'new'"),
+                       (not_a_label, "move 0: field 'label': expected a string"),
+                       (mistyped, "start: "),
+                       (not_an_object, "field 'end' is missing or not a dict"),
+                       (unknown, "move 0: unknown move kind 'Frobnicate'")):
+        with pytest.raises(PresentationError, match=named):
+            trace_from_json(doc)
 
 
 def test_presentation_text_round_trip():
