@@ -13,17 +13,13 @@ import os
 import sys
 
 from . import __version__
-from .derivation import (
-    full_trace,
-    run_pipeline,
-    simplify_longitude,
-    verify_L_induction,
-    verify_R_induction,
-)
+from .derivation import full_trace, run_pipeline, verify_L_induction, verify_R_induction
 from .knot import tunnel_collapse, wirtinger_presentation
 from .orderability import Certificate, nlo_search, replay_certificate
 from .presentations import (
+    Check,
     Presentation,
+    Report,
     presentation_to_json,
     replay_trace,
     trace_from_json,
@@ -72,15 +68,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_derive(args) -> int:
     result = run_pipeline(args.s)
-    simplified = simplify_longitude(args.s, result.longitude)
-    trace = full_trace(args.s)
+    trace = full_trace(result)
     report = replay_trace(trace)
     relator = result.presentation.relator("r_inf")
     inductions = None
     if args.verify_induction:
         inductions = {"R": verify_R_induction(args.s), "L": verify_L_induction(args.s)}
-    ok = report.passed and (inductions is None
-                            or all(r.passed for r in inductions.values()))
+    ok = report.ok and (inductions is None or all(r.ok for r in inductions.values()))
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as handle:
             json.dump(trace_to_json(trace), handle, indent=2)
@@ -90,24 +84,24 @@ def _cmd_derive(args) -> int:
             "s": args.s,
             "generators": list(result.presentation.generators),
             "relator": {"label": "r_inf", **_word_fields(relator)},
-            "longitude": _word_fields(simplified.word),
+            "longitude": _word_fields(trace.longitude_end),
             "pipeline_longitude": _word_fields(result.longitude),
             "moves": len(trace.moves),
-            "replay": "PASS" if report.passed else "FAIL",
+            "replay": "PASS" if report.ok else "FAIL",
             "version": __version__,
         }
         if inductions is not None:
-            doc["induction"] = {name: "PASS" if rep.passed else "FAIL"
+            doc["induction"] = {name: "PASS" if rep.ok else "FAIL"
                                 for name, rep in inductions.items()}
         _emit_json(doc)
     else:
         sys.stdout.write(result.presentation.to_text())
-        print(f"longitude: {simplified.word.tokens()}")
+        print(f"longitude: {trace.longitude_end.tokens()}")
         print(f"moves: {len(trace.moves)}")
         if inductions is not None:
             for name, rep in inductions.items():
-                print(f"induction {name}: {'PASS' if rep.passed else 'FAIL'}")
-        print(f"replay: {'PASS' if report.passed else 'FAIL'}")
+                print(f"induction {name}: {'PASS' if rep.ok else 'FAIL'}")
+        print(f"replay: {'PASS' if report.ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -127,57 +121,43 @@ def _cmd_surgery(args) -> int:
     return EXIT_PASS
 
 
-def _report_exit(passed: bool) -> int:
-    return EXIT_PASS if passed else EXIT_FAIL
-
-
 def _cmd_verify(args) -> int:
     if args.what == "fact":
         report = verify_fact(args.s)
-        doc = {"command": "verify fact", "s": args.s,
-               "checks": [{"name": n, "ok": ok} for n, ok in report.checks],
-               "passed": report.passed}
+        doc = {"command": "verify fact", "s": args.s}
     elif args.what == "lemma-k":
         report = verify_lemma_k(parse_slope(args.slope))
-        doc = {"command": "verify lemma-k", "slope": args.slope,
-               "checks": [{"name": n, "ok": ok} for n, ok in report.checks],
-               "passed": report.passed}
+        doc = {"command": "verify lemma-k", "slope": args.slope}
     elif args.what == "induction":
-        r_report = verify_R_induction(args.s)
-        l_report = verify_L_induction(args.s)
-        passed = r_report.passed and l_report.passed
+        halves = {"R": verify_R_induction(args.s), "L": verify_L_induction(args.s)}
+        report = Report(f"induction s={args.s}",
+                        [Check(name, half.ok) for name, half in halves.items()])
         doc = {"command": "verify induction", "s": args.s,
-               "R": {"steps": len(r_report.steps), "passed": r_report.passed},
-               "L": {"steps": len(l_report.steps), "passed": l_report.passed},
-               "passed": passed}
-        report = None
+               **{name: {"steps": len(half.checks), "passed": half.ok}
+                  for name, half in halves.items()}}
     else:  # trace
         with open(args.file, "r", encoding="utf-8") as handle:
             trace = trace_from_json(json.load(handle))
-        replay = replay_trace(trace, check_abelian=args.check_abelian)
-        doc = {"command": "verify trace", "file": args.file,
-               "moves": len(trace.moves), "passed": replay.passed}
-        if not replay.passed:
-            failure = replay.first_failure()
-            doc["detail"] = replay.detail
-            if failure is not None:
-                doc["failed_move"] = failure.index
-        report = replay
+        report = replay_trace(trace, check_abelian=args.check_abelian)
+        doc = {"command": "verify trace", "file": args.file, "moves": len(trace.moves)}
+    if args.what in ("fact", "lemma-k"):
+        doc["checks"] = [{"name": c.name, "ok": c.ok} for c in report.checks]
+    doc["passed"] = report.ok
+    if args.what == "trace" and not report.ok:
+        doc["detail"] = report.detail
+        failed_move = report.first_failure().index
+        if failed_move is not None:
+            doc["failed_move"] = failed_move
     if args.format == "json":
         doc["version"] = __version__
         _emit_json(doc)
+    elif args.what == "induction":
+        for name, half in halves.items():
+            print(f"{name}: {'PASS' if half.ok else 'FAIL'} ({len(half.checks)} steps)")
+        print("PASS" if report.ok else "FAIL")
     else:
-        if args.what in ("fact", "lemma-k"):
-            print(report)
-        elif args.what == "induction":
-            print(f"R: {'PASS' if doc['R']['passed'] else 'FAIL'} "
-                  f"({doc['R']['steps']} steps)")
-            print(f"L: {'PASS' if doc['L']['passed'] else 'FAIL'} "
-                  f"({doc['L']['steps']} steps)")
-            print("PASS" if doc["passed"] else "FAIL")
-        else:
-            print(report)
-    return _report_exit(doc["passed"])
+        print(report)
+    return EXIT_PASS if report.ok else EXIT_FAIL
 
 
 def _cmd_h1(args) -> int:

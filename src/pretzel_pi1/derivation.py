@@ -23,7 +23,7 @@ steeper is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .knot import check_s, initial_longitude, strand_name, tunnel_moves, wirtinger_presentation
 from .presentations import (
@@ -35,6 +35,7 @@ from .presentations import (
     RelabelRelator,
     RemoveGenerator,
     RemoveRelator,
+    Report,
     RewriteLongitude,
     RewriteRelator,
     RotateRelator,
@@ -136,24 +137,8 @@ def _terminal_longitude(s: int) -> Word:
 
 # -- induction oracles -------------------------------------------------------
 
-@dataclass
-class InductionReport:
-    label: str
-    steps: list[tuple[int, bool]]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.steps)
-
-    def first_failure(self) -> Optional[int]:
-        for idx, ok in self.steps:
-            if not ok:
-                return idx
-        return None
-
-    def __str__(self) -> str:
-        verdict = "PASS" if self.passed else f"FAIL at {self.first_failure()}"
-        return f"{self.label}: {len(self.steps)} steps, {verdict}"
+def _step(report: Report, i: int, ok: bool) -> None:
+    report.add(f"step {i}", ok, "the substituted word differs from the closed form", i)
 
 
 def _twist_replacement(i: int, s: int) -> Word:
@@ -164,37 +149,37 @@ def _twist_replacement(i: int, s: int) -> Word:
 
 
 def verify_R_induction(s: int, closed_form: Callable[[int, int], Word] = closed_form_R,
-                       ) -> InductionReport:
+                       ) -> Report:
     """Iterative substitution oracle against the closed relator forms."""
     check_s(s)
-    report = InductionReport(f"R induction s={s}", [])
+    report = Report(f"R induction s={s}")
     # base: eliminate f0 from the tunnel relator pair
     p2 = wirtinger_presentation(s)
     for move in tunnel_moves(s):
         p2 = move.apply(p2)
     base = p2.relator("r_inf").substitute("f0", solve_for(p2.relator("r7"), "f0"))
-    report.steps.append((1, base == closed_form(1, s)))
+    _step(report, 1, base == closed_form(1, s))
     current = base
     for i in range(1, 2 * s):
         current = current.substitute(strand_name(i, s), _twist_replacement(i, s))
-        report.steps.append((i + 1, current == closed_form(i + 1, s)))
+        _step(report, i + 1, current == closed_form(i + 1, s))
     return report
 
 
 def verify_L_induction(s: int, fragments: Callable[[int, int], LongitudeFragments] = _fragments,
-                       ) -> InductionReport:
+                       ) -> Report:
     """Iterative substitution oracle against the longitude fragment forms."""
     check_s(s)
-    report = InductionReport(f"L induction s={s}", [])
+    report = Report(f"L induction s={s}")
     current = initial_longitude(s).word
-    report.steps.append((1, current == _assemble_longitude(fragments(1, s), s)))
+    _step(report, 1, current == _assemble_longitude(fragments(1, s), s))
     for i in range(1, 2 * s):
         current = current.substitute(strand_name(i, s), _twist_replacement(i, s))
         if i + 1 <= 2 * s - 1:
             expected = _assemble_longitude(fragments(i + 1, s), s)
         else:
             expected = _terminal_longitude(s)
-        report.steps.append((i + 1, current == expected))
+        _step(report, i + 1, current == expected)
     return report
 
 
@@ -262,6 +247,7 @@ def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
 
 @dataclass(frozen=True)
 class PipelineResult:
+    s: int
     trace: DerivationTrace
     presentation: Presentation
     longitude: Word  # the tracked longitude at the end of the trace
@@ -353,7 +339,7 @@ def run_pipeline(s: int) -> PipelineResult:
 
     p = p.replace(provenance=f"pipeline s={s}")
     trace = DerivationTrace(start, tuple(moves), p, lon_start, lon)
-    return PipelineResult(trace, p, lon)
+    return PipelineResult(s, trace, p, lon)
 
 
 # -- longitude simplification -------------------------------------------------
@@ -399,10 +385,9 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
     return SimplifiedLongitude(current, tuple(moves))
 
 
-def full_trace(s: int) -> DerivationTrace:
-    """Pipeline plus longitude simplification as one replayable trace."""
-    result = run_pipeline(s)
-    simplified = simplify_longitude(s, result.longitude)
+def full_trace(result: PipelineResult) -> DerivationTrace:
+    """A pipeline run plus its longitude simplification as one replayable trace."""
+    simplified = simplify_longitude(result.s, result.longitude)
     return DerivationTrace(result.trace.start,
                            result.trace.moves + simplified.moves,
                            result.presentation,

@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .derivation import check_s, final_relator, longitude_word
+from .presentations import Report
 from .surgery import (Slope, bezout_k, clasp_identity_holds, clasp_word, fact_exponent,
                       h1_order)
 from .words import CyclicWord, Word, parse_word, rotation_witness
@@ -121,7 +122,10 @@ def clash(ctx: BranchContext, a: Fact, b: Fact) -> Optional[str]:
 # -- the rule kernel ----------------------------------------------------------
 # A rule maps (context, premise facts, args, claimed conclusion) to the Fact
 # it derives, or to None when it closes the branch, and raises when it does
-# not apply.  Only assume and relator read the claim: they check a target.
+# not apply.  Assume and relator read the claim to check a target.  Power
+# reads its length, when given, to bound n before building the power: a
+# non-empty word's n-th power has at least n letters.  Replay always gives
+# the claim; the engine, which only builds true lines, gives none.
 
 def _is_root_power(word: Word, n: int) -> bool:
     """word == k^n, decided on the letters without building the power."""
@@ -138,9 +142,12 @@ def _assume(ctx, prem, args, claim):
 
 def _power(ctx, prem, args, claim):
     (word, sign), = prem
-    if int(args["n"]) < 1:
+    n = int(args["n"])
+    if n < 1:
         raise EngineError("power rule needs n >= 1")
-    return word ** int(args["n"]), sign
+    if claim is not None and n > len(claim[0]):
+        raise EngineError(f"power n={n} exceeds the {len(claim[0])} letters of the claim")
+    return word ** n, sign
 
 
 def _inverse(ctx, prem, args, claim):
@@ -211,6 +218,9 @@ def _contradiction(ctx, prem, args, claim):
         raise EngineError("the premises are compatible")
     return None
 
+
+# the rules that close a branch; every other rule concludes a Fact
+CLOSING_RULES = ("abelian-obstruction", "contradiction")
 
 RULES = {
     "assume": _assume,
@@ -597,18 +607,6 @@ def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):
 
 # -- certificate replay -------------------------------------------------------
 
-@dataclass
-class ReplayReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "certificate replay: OK"
-        return "certificate replay: REJECTED\n" + "\n".join(
-            f"  - {p}" for p in self.problems)
-
-
 def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
     """The first problem of the journal, or None when it replays and closes."""
     facts: list[Optional[Fact]] = []
@@ -625,6 +623,8 @@ def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
                 raise EngineError(f"unknown rule {rule!r}")
             claim = None if conclusion == {"contradiction": True} else (
                 parse_word(conclusion["word"]), Sign(conclusion["sign"]))
+            if claim is None and rule not in CLOSING_RULES:  # before it does any work
+                raise EngineError(f"{rule} does not conclude the claimed {conclusion}")
             got = RULES[rule](ctx, tuple(premise(n) for n in line["premises"]),
                               line["args"], claim)
         except KeyError as exc:
@@ -637,45 +637,46 @@ def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
     return None if None in facts else "journal never reaches a contradiction"
 
 
-def replay_certificate(cert: dict) -> ReplayReport:
+def replay_certificate(cert: dict) -> Report:
     """Check the JSON shape, then re-derive every journal line with RULES.
 
-    Any input gets a report: OK, or REJECTED with each problem located at
-    a field, or at a branch and journal line.
+    Any input gets a report: OK, or REJECTED with each failing check
+    located at a field, or at a branch and journal line.
     """
-    problems: list[str] = []
+    report = Report("certificate replay")
     try:
         params, branches = cert["params"], cert["branches"]
         s = check_s(params["s"])
         slope = Slope(params["p"], params["q"])
         relator = final_relator(s)
         cited = {"relator": relator, "longitude": longitude_word(s), "clasp": clasp_word(s)}
-        problems += [f"cited {key} does not match the knot group"
-                     for key, word in cited.items() if params[key] != word.tokens()]
+        for key, word in cited.items():
+            report.add(f"cited {key}", params[key] == word.tokens(),
+                       "does not match the knot group")
     except KeyError as exc:
-        return ReplayReport(False, [f"bad certificate: missing field {exc}"])
+        report.add("certificate", False, f"missing field {exc}")
+        return report
     except (TypeError, ValueError) as exc:
-        return ReplayReport(False, [f"bad params: {exc}"])
-    if not clasp_identity_holds(s):
-        problems.append("the free clasp identity fails")
-    if cert.get("verdict") != "not_left_orderable":
-        problems.append(f"unexpected verdict {cert.get('verdict')!r}")
-    if not isinstance(branches, list):
-        return ReplayReport(False, problems + ["branches is not a list"])
+        report.add("params", False, str(exc))
+        return report
+    report.add("clasp identity", clasp_identity_holds(s), "fails by free reduction")
+    report.add("verdict", cert.get("verdict") == "not_left_orderable",
+               f"unexpected verdict {cert.get('verdict')!r}")
+    if not report.add("branches", isinstance(branches, list), "not a list"):
+        return report
     cases = [b.get("assumptions") for b in branches if isinstance(b, dict)]
-    if not ([{"word": "k", "sign": "positive"}] in cases
-            and [{"word": "k", "sign": "identity"}] in cases):
-        problems.append("certificate must cover the k-positive and k-identity cases "
-                        "(the k-negative case is the recorded orientation mirror)")
+    report.add("cases", [{"word": "k", "sign": "positive"}] in cases
+               and [{"word": "k", "sign": "identity"}] in cases,
+               "certificate must cover the k-positive and k-identity cases "
+               "(the k-negative case is the recorded orientation mirror)")
     for n, branch in enumerate(branches):
         if not isinstance(branch, dict) or not isinstance(branch.get("journal"), list):
-            problems.append(f"branch #{n} is not an object with a journal list")
+            report.add(f"branch #{n}", False, "not an object with a journal list")
             continue
         name = branch.get("name", f"#{n}")
         ctx = BranchContext((relator,), s, slope, branch.get("assumptions"))
         problem = _replay_journal(ctx, branch["journal"])
-        if problem:
-            problems.append(f"branch {name}: {problem}")
-        elif branch.get("outcome") != "contradiction":
-            problems.append(f"branch {name}: outcome is not a contradiction")
-    return ReplayReport(not problems, problems)
+        if problem is None and branch.get("outcome") != "contradiction":
+            problem = "outcome is not a contradiction"
+        report.add(f"branch {name}", problem is None, problem)
+    return report

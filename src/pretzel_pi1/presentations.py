@@ -31,6 +31,15 @@ class SideConditionViolated(Exception):
         super().__init__(f"{type(move).__name__}: {reason}")
 
 
+def _checked(move, compute, *args):
+    """compute(*args), with a failed relator lookup or solve raised as the move's
+    side condition violation."""
+    try:
+        return compute(*args)
+    except (KeyError, PresentationError) as exc:
+        raise SideConditionViolated(move, str(exc)) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class Presentation:
     generators: tuple[str, ...]
@@ -83,6 +92,11 @@ class Presentation:
                 "provenance": self.provenance}
         data.update(changes)
         return Presentation(**data)
+
+    def with_relator(self, label: str, word: Word) -> "Presentation":
+        """The word under label replaced, every other relator kept in place."""
+        return self.replace(relators=tuple((lab, word if lab == label else w)
+                                           for lab, w in self.relators))
 
     # -- abelianization ----------------------------------------------
 
@@ -193,10 +207,7 @@ class RemoveGenerator:
     macro: Optional[str] = None
 
     def solved(self, p: Presentation) -> Word:
-        try:
-            return solve_for(p.relator(self.via), self.gen)
-        except (KeyError, PresentationError) as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
+        return _checked(self, lambda: solve_for(p.relator(self.via), self.gen))
 
     def apply(self, p: Presentation) -> Presentation:
         if self.gen not in p.generators:
@@ -223,10 +234,7 @@ class SubstituteEverywhere:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
-        try:
-            solved = solve_for(p.relator(self.justified_by), self.gen)
-        except (KeyError, PresentationError) as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
+        solved = _checked(self, lambda: solve_for(p.relator(self.justified_by), self.gen))
         if solved != self.by:
             raise SideConditionViolated(
                 self, f"justifying relator solves {self.gen!r} to {solved}, not {self.by}")
@@ -258,10 +266,7 @@ class AddRelator:
             raise SideConditionViolated(self, "relator uses undeclared generators")
         derived = Word()
         for step in self.derivation:
-            try:
-                derived = step.perform(derived, p)
-            except (KeyError, PresentationError) as exc:
-                raise SideConditionViolated(self, str(exc)) from exc
+            derived = _checked(self, step.perform, derived, p)
         if derived != self.word:
             raise SideConditionViolated(
                 self, f"derivation yields {derived}, declared {self.word}")
@@ -280,21 +285,13 @@ class RewriteRelator:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
-        try:
-            word = p.relator(self.label)
-        except KeyError as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
+        word = _checked(self, p.relator, self.label)
         for step in self.steps:
             if step.relator == self.label:
                 raise SideConditionViolated(
                     self, "a rewrite cannot be justified by the relator it rewrites")
-            try:
-                word = step.perform(word, p)
-            except (KeyError, PresentationError) as exc:
-                raise SideConditionViolated(self, str(exc)) from exc
-        relators = tuple((lab, word if lab == self.label else w)
-                         for lab, w in p.relators)
-        return p.replace(relators=relators)
+            word = _checked(self, step.perform, word, p)
+        return p.with_relator(self.label, word)
 
 
 @dataclass(frozen=True)
@@ -305,21 +302,14 @@ class RemoveRelator:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
-        try:
-            word = p.relator(self.label)
-        except KeyError as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
+        word = _checked(self, p.relator, self.label)
         if self.duplicate_of is None:
             if word != Word():
                 raise SideConditionViolated(self, f"{self.label} is not the empty relator")
         else:
             if self.duplicate_of == self.label:
                 raise SideConditionViolated(self, "relator cannot duplicate itself")
-            try:
-                other = p.relator(self.duplicate_of)
-            except KeyError as exc:
-                raise SideConditionViolated(self, str(exc)) from exc
-            if other != word:
+            if _checked(self, p.relator, self.duplicate_of) != word:
                 raise SideConditionViolated(
                     self, f"{self.label} and {self.duplicate_of} differ")
         return p.replace(relators=tuple((lab, w) for lab, w in p.relators
@@ -333,13 +323,7 @@ class RotateRelator:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
-        try:
-            word = p.relator(self.label)
-        except KeyError as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
-        rotated = word.rotated(self.k)
-        return p.replace(relators=tuple((lab, rotated if lab == self.label else w)
-                                        for lab, w in p.relators))
+        return p.with_relator(self.label, _checked(self, p.relator, self.label).rotated(self.k))
 
 
 @dataclass(frozen=True)
@@ -348,12 +332,7 @@ class InvertRelator:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
-        try:
-            word = p.relator(self.label)
-        except KeyError as exc:
-            raise SideConditionViolated(self, str(exc)) from exc
-        return p.replace(relators=tuple((lab, ~word if lab == self.label else w)
-                                        for lab, w in p.relators))
+        return p.with_relator(self.label, ~_checked(self, p.relator, self.label))
 
 
 @dataclass(frozen=True)
@@ -405,34 +384,42 @@ class DerivationTrace:
     longitude_end: Optional[Word] = None
 
 
-@dataclass
-class MoveReport:
-    index: int
-    kind: str
-    macro: Optional[str]
+@dataclass(frozen=True)
+class Check:
+    """One named check of a Report; a failing check says why."""
+    name: str
     ok: bool
     reason: str = ""
+    index: Optional[int] = None  # the move or step the check is located at
+
+    def __str__(self) -> str:
+        return self.name + (f": {self.reason}" if self.reason else "")
 
 
 @dataclass
-class TraceReport:
-    passed: bool
-    steps: list[MoveReport] = field(default_factory=list)
-    detail: str = ""
+class Report:
+    """What every checker returns: its checks in order and one verdict."""
+    label: str
+    checks: list[Check] = field(default_factory=list)
+    detail: str = ""  # the failure in one line, from checkers that summarize it
 
-    def first_failure(self) -> Optional[MoveReport]:
-        for step in self.steps:
-            if not step.ok:
-                return step
-        return None
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
+
+    def add(self, name: str, ok: bool, reason: str = "", index: Optional[int] = None) -> bool:
+        """Record a check; the reason is kept only when it fails."""
+        self.checks.append(Check(name, ok, "" if ok else reason, index))
+        return ok
+
+    def first_failure(self) -> Optional[Check]:
+        return next((check for check in self.checks if not check.ok), None)
 
     def __str__(self) -> str:
-        lines = [f"move {s.index:3d} {s.kind:<20} "
-                 f"{'ok' if s.ok else 'FAIL: ' + s.reason}"
-                 + (f"  [{s.macro}]" if s.macro else "")
-                 for s in self.steps]
-        lines.append(("PASS" if self.passed else "FAIL") +
-                     (f" -- {self.detail}" if self.detail else ""))
+        lines = [f"{self.label}:"]
+        lines += [f"  {'ok  ' if check.ok else 'FAIL'} {check}" for check in self.checks]
+        lines.append(("PASS" if self.ok else "FAIL")
+                     + (f" -- {self.detail}" if self.detail else ""))
         return "\n".join(lines)
 
 
@@ -456,43 +443,37 @@ def apply_move(p: Presentation, move: Move,
     return move.apply(p), longitude
 
 
-def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> TraceReport:
-    """Replay every move; PASS iff all side conditions hold and the end matches."""
-    report = TraceReport(passed=True)
+def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
+    """Replay every move; PASS iff all side conditions hold and the end matches.
+
+    There is one check per move replayed, up to the first that fails, then
+    one for the end presentation and one for the end longitude, if tracked.
+    """
+    report = Report("trace replay")
     p = trace.start
     longitude = trace.longitude_start
     invariants = p.abelian_invariants() if check_abelian else None
     for i, move in enumerate(trace.moves):
-        kind = type(move).__name__
+        name = f"move {i} {type(move).__name__}" + (f" [{move.macro}]" if move.macro else "")
         try:
             p, longitude = apply_move(p, move, longitude)
         except (SideConditionViolated, PresentationError, KeyError) as exc:
-            report.steps.append(MoveReport(i, kind, move.macro, False, str(exc)))
-            report.passed = False
+            report.add(name, False, str(exc), i)
             report.detail = f"move {i} failed"
             return report
         if longitude is not None and longitude.generators() - set(p.generators):
-            report.steps.append(MoveReport(
-                i, kind, move.macro, False,
-                "longitude uses a generator absent from the presentation"))
-            report.passed = False
+            report.add(name, False, "longitude uses a generator absent from the presentation", i)
             report.detail = f"move {i} broke the longitude"
             return report
-        if check_abelian:
-            now = p.abelian_invariants()
-            if now != invariants:
-                report.steps.append(MoveReport(
-                    i, kind, move.macro, False,
-                    f"abelian invariants changed {invariants} -> {now}"))
-                report.passed = False
-                report.detail = f"move {i} changed the abelianization"
-                return report
-        report.steps.append(MoveReport(i, kind, move.macro, True))
-    if p != trace.end:
-        report.passed = False
+        now = p.abelian_invariants() if check_abelian else None
+        if not report.add(name, now == invariants,
+                          f"abelian invariants changed {invariants} -> {now}", i):
+            report.detail = f"move {i} changed the abelianization"
+            return report
+    if not report.add("end presentation", p == trace.end, "does not match"):
         report.detail = "end presentation does not match"
-    if trace.longitude_end is not None and longitude != trace.longitude_end:
-        report.passed = False
+    if trace.longitude_end is not None and not report.add(
+            "end longitude", longitude == trace.longitude_end, "does not match"):
         report.detail = "end longitude does not match"
     return report
 

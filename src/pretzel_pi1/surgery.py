@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .derivation import check_s, final_relator, longitude_word
-from .presentations import Presentation
+from .presentations import Presentation, Report
 from .smith import group_order
 from .words import Word
 
@@ -89,30 +89,12 @@ def bezout_k(slope: Slope) -> PeripheralVector:
     return PeripheralVector(s, -r)
 
 
-@dataclass
-class CheckReport:
-    label: str
-    checks: list[tuple[str, bool]]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def __str__(self) -> str:
-        lines = [f"{self.label}:"]
-        lines += [f"  {'ok  ' if ok else 'FAIL'} {name}" for name, ok in self.checks]
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines)
-
-
-def verify_lemma_k(slope: Slope) -> CheckReport:
+def verify_lemma_k(slope: Slope) -> Report:
     """k^q = M and k^-p = L hold in the peripheral quotient."""
     k = bezout_k(slope)
-    report = CheckReport(f"lemma-k {slope}", [])
-    report.checks.append(
-        (f"k^{slope.q} = M", k.scaled(slope.q).congruent(MERIDIAN, slope)))
-    report.checks.append(
-        (f"k^{-slope.p} = L", k.scaled(-slope.p).congruent(LONGITUDE, slope)))
+    report = Report(f"lemma-k {slope}")
+    report.add(f"k^{slope.q} = M", k.scaled(slope.q).congruent(MERIDIAN, slope))
+    report.add(f"k^{-slope.p} = L", k.scaled(-slope.p).congruent(LONGITUDE, slope))
     return report
 
 
@@ -136,7 +118,7 @@ def clasp_identity_holds(s: int) -> bool:
     return ~longitude_word(s) == rhs
 
 
-def verify_fact(s: int) -> CheckReport:
+def verify_fact(s: int) -> Report:
     """Free-word half plus exponent bookkeeping of the clasp identity.
 
     (a) the free reduction identity of clasp_identity_holds.
@@ -145,10 +127,9 @@ def verify_fact(s: int) -> CheckReport:
         (2s+9) + (2s-2) = 4s+7 copies of q.
     """
     check_s(s)
-    report = CheckReport(f"fact s={s}", [])
-    report.checks.append(("free reduction identity", clasp_identity_holds(s)))
-    report.checks.append(("meridian blocks sum to 4s+7",
-                          (2 * s + 9) + (2 * s - 2) == 4 * s + 7))
+    report = Report(f"fact s={s}")
+    report.add("free reduction identity", clasp_identity_holds(s))
+    report.add("meridian blocks sum to 4s+7", (2 * s + 9) + (2 * s - 2) == 4 * s + 7)
     return report
 
 

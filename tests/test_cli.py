@@ -4,8 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from pretzel_pi1 import __version__
+from pretzel_pi1.derivation import full_trace, run_pipeline
+from pretzel_pi1.presentations import trace_to_json
+
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def run_cli(*argv, check=False, env=None):
@@ -64,6 +71,60 @@ def test_verify_subcommands_exit_zero():
     assert run_cli("verify", "fact", "--s", "5").returncode == 0
     assert run_cli("verify", "lemma-k", "--slope", "39/2").returncode == 0
     assert run_cli("verify", "induction", "--s", "3").returncode == 0
+
+
+def assert_exact_json(proc, expected):
+    """stdout is exactly the document expected, key order included, plus the version."""
+    assert proc.stdout == json.dumps({**expected, "version": __version__}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("fact", "--s", "5"),
+     {"command": "verify fact", "s": 5,
+      "checks": [{"name": "free reduction identity", "ok": True},
+                 {"name": "meridian blocks sum to 4s+7", "ok": True}],
+      "passed": True}),
+    (("lemma-k", "--slope", "39/2"),
+     {"command": "verify lemma-k", "slope": "39/2",
+      "checks": [{"name": "k^2 = M", "ok": True}, {"name": "k^-39 = L", "ok": True}],
+      "passed": True}),
+    (("induction", "--s", "3"),
+     {"command": "verify induction", "s": 3,
+      "R": {"steps": 6, "passed": True}, "L": {"steps": 6, "passed": True},
+      "passed": True}),
+])
+def test_verify_json_documents(argv, expected):
+    assert_exact_json(run_cli("verify", *argv, "--format", "json", check=True), expected)
+
+
+def _corrupt_move(data):
+    data["moves"][5]["via"] = "nope"
+
+
+def _corrupt_end(data):
+    data["end"]["relators"][0]["word"] += " c"
+
+
+def _corrupt_longitude(data):
+    data["longitude_end"] += " c"
+
+
+@pytest.mark.parametrize("corrupt,code,failure", [
+    (None, 0, {}),
+    (_corrupt_move, 1, {"detail": "move 5 failed", "failed_move": 5}),
+    (_corrupt_end, 1, {"detail": "end presentation does not match"}),
+    (_corrupt_longitude, 1, {"detail": "end longitude does not match"}),
+])
+def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
+    data = trace_to_json(full_trace(run_pipeline(3)))
+    if corrupt:
+        corrupt(data)
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data, indent=2))
+    proc = run_cli("verify", "trace", str(trace_file), "--format", "json")
+    assert proc.returncode == code
+    assert_exact_json(proc, {"command": "verify trace", "file": str(trace_file),
+                             "moves": 49, "passed": not failure, **failure})
 
 
 def test_verify_trace_round_trip(tmp_path):
@@ -164,3 +225,11 @@ def test_usage_errors_exit_two():
     assert run_cli("gen").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("gen", "--s", "2").returncode == 2
+
+
+@pytest.mark.parametrize("script", [("reproduce.py", "--max-s", "4"), ("certify_slopes.py",)])
+def test_scripts_run_clean(script):
+    name, *argv = script
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

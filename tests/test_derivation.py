@@ -61,8 +61,8 @@ def test_fragment_examples():
 
 @pytest.mark.parametrize("s", list(range(3, 7)) + [15])
 def test_inductions_pass(s):
-    assert verify_R_induction(s).passed
-    assert verify_L_induction(s).passed
+    assert verify_R_induction(s).ok
+    assert verify_L_induction(s).ok
 
 
 def test_R_induction_negative_control():
@@ -73,8 +73,8 @@ def test_R_induction_negative_control():
         return word
 
     report = verify_R_induction(3, closed_form=perturbed)
-    assert not report.passed
-    assert report.first_failure() == 2
+    assert not report.ok
+    assert report.first_failure().index == 2
 
 
 def test_L_induction_negative_control():
@@ -87,8 +87,8 @@ def test_L_induction_negative_control():
         return frag
 
     report = verify_L_induction(3, fragments=wrong_convention)
-    assert not report.passed
-    assert report.first_failure() <= 2
+    assert not report.ok
+    assert report.first_failure().index <= 2
 
 
 # -- expected intermediate states of the bundled s=3 run ---------------------
@@ -214,7 +214,7 @@ def test_relator_count_matches_declared_deltas():
 def test_pipeline_trace_replays_with_abelian_checks(s):
     result = run_pipeline(s)
     report = replay_trace(result.trace, check_abelian=True)
-    assert report.passed, str(report)
+    assert report.ok, str(report)
 
 
 def test_trace_negative_control():
@@ -224,14 +224,14 @@ def test_trace_negative_control():
     report = replay_trace(
         type(result.trace)(result.trace.start, result.trace.moves, bad_end,
                            result.trace.longitude_start, result.trace.longitude_end))
-    assert not report.passed
+    assert not report.ok
 
 
 def test_trace_json_round_trip_s3():
     trace = run_pipeline(3).trace
     again = trace_from_json(trace_to_json(trace))
     assert again == trace
-    assert replay_trace(again).passed
+    assert replay_trace(again).ok
 
 
 def test_simplified_longitude_s3():
@@ -245,7 +245,7 @@ def test_simplified_longitude_s3():
 
 @pytest.mark.parametrize("s", range(3, 13))
 def test_longitude_simplification_and_homology(s):
-    trace = full_trace(s)
+    trace = full_trace(run_pipeline(s))
     assert trace.longitude_end == longitude_word(s)
     p = knot_group_presentation(s)
     assert all(v == 0 for v in p.abel_image(longitude_word(s)))
@@ -254,4 +254,4 @@ def test_longitude_simplification_and_homology(s):
 
 @pytest.mark.parametrize("s", [3, 6])
 def test_full_trace_replays(s):
-    assert replay_trace(full_trace(s)).passed
+    assert replay_trace(full_trace(run_pipeline(s))).ok

@@ -74,7 +74,7 @@ def test_tunnel_trace_shape_and_replay(s):
     assert isinstance(moves[0], AddGenerator)
     assert all(isinstance(m, RewriteRelator) for m in moves[1:])
     trace = DerivationTrace(wirtinger_presentation(s), moves, tunnel_collapse(s))
-    assert replay_trace(trace, check_abelian=True).passed
+    assert replay_trace(trace, check_abelian=True).ok
 
 
 def test_initial_longitude_s3():

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -180,7 +181,7 @@ def test_nlo_emits_replayable_certificates(s, p, q):
         for line in branch["journal"]:
             assert "rule" in line and "premises" in line and "conclusion" in line
     report = replay_certificate(cert)
-    assert report.ok, report.problems
+    assert report.ok, str(report)
 
 
 @pytest.mark.parametrize("s,p,q", [(3, 17, 1), (3, 18, 1)])
@@ -281,6 +282,11 @@ GOLDEN_CERT = json.loads(
 DROP = object()
 
 
+def _problems(report):
+    """The located problems of a replay report, one per failing check."""
+    return [str(check) for check in report.checks if not check.ok]
+
+
 def _set(doc, path, value):
     *parents, last = path
     for key in parents:
@@ -304,7 +310,7 @@ def test_replay_reports_malformed_certificates(path, value, located):
     _set(cert, path, value)
     report = replay_certificate(cert)
     assert not report.ok
-    assert any(located in problem for problem in report.problems), report.problems
+    assert any(located in problem for problem in _problems(report)), str(report)
 
 
 def _line_mutants(line):
@@ -346,5 +352,44 @@ def test_replay_rejects_every_single_field_mutant():
                 if key in ("rule", "premises", "conclusion"):
                     assert not report.ok, (branch["name"], i, mutant)
                     assert any(f"branch {branch['name']}: line {i}:" in problem
-                               for problem in report.problems), report.problems
+                               for problem in _problems(report)), str(report)
     assert mutants > 400
+
+
+def _power_of_line_1(cert):
+    """Line 6 (c^3 from line 1) asks for the 4000th power of c."""
+    cert["branches"][0]["journal"][6]["args"]["n"] = 4000
+    return "line 6"
+
+
+def _power_of_the_empty_word(cert):
+    """An assumed empty word raised to the millionth power."""
+    branch = cert["branches"][0]
+    branch["assumptions"].append({"word": "1", "sign": "positive"})
+    n = len(branch["journal"])
+    branch["journal"] += [
+        {"rule": "assume", "premises": [], "args": {},
+         "conclusion": {"word": "1", "sign": "positive"}},
+        {"rule": "power", "premises": [n], "args": {"n": 10 ** 6},
+         "conclusion": {"word": "1", "sign": "positive"}}]
+    return f"line {n + 1}"
+
+
+def _power_claiming_a_contradiction(cert):
+    """Line 6 asks for c^4000 and claims that it closes the branch."""
+    line = cert["branches"][0]["journal"][6]
+    line["args"]["n"] = 4000
+    line["conclusion"] = {"contradiction": True}
+    return "line 6"
+
+
+@pytest.mark.parametrize("forge", [_power_of_line_1, _power_of_the_empty_word,
+                                   _power_claiming_a_contradiction])
+def test_replay_bounds_a_forged_power_by_its_claim(forge):
+    cert = copy.deepcopy(GOLDEN_CERT)
+    located = f"branch k_positive: {forge(cert)}:"
+    start = time.perf_counter()
+    report = replay_certificate(cert)
+    assert time.perf_counter() - start < 0.5
+    assert not report.ok
+    assert any(located in problem for problem in _problems(report)), str(report)

@@ -204,21 +204,21 @@ def test_invert_and_relabel():
 def test_replay_trace_pass_and_negative_control():
     moves = (AddGenerator("z", W("a b"), "rz"), RemoveGenerator("z", "rz"))
     trace = DerivationTrace(BASE, moves, BASE)
-    assert replay_trace(trace).passed
+    assert replay_trace(trace).ok
     # tampered end: flip one letter
     bad_end = Presentation(("a", "b"), (("r1", W("a b A B")), ("r2", W("a^2 A^-1"))))
     bad_end = Presentation(("a", "b"), (("r1", W("a b a B")), ("r2", W("a^3"))))
     report = replay_trace(DerivationTrace(BASE, moves, bad_end))
-    assert not report.passed
+    assert not report.ok
     # tampered move: removing via a relator with two occurrences
     bad_moves = (AddGenerator("z", W("a b"), "rz"), RemoveGenerator("a", "r1"))
     report2 = replay_trace(DerivationTrace(BASE, bad_moves, BASE))
-    assert not report2.passed
+    assert not report2.ok
     assert report2.first_failure().index == 1
 
 
 def test_empty_trace_passes():
-    assert replay_trace(DerivationTrace(BASE, (), BASE)).passed
+    assert replay_trace(DerivationTrace(BASE, (), BASE)).ok
 
 
 def test_trace_json_round_trip():
@@ -241,7 +241,7 @@ def test_trace_json_round_trip():
     assert data["v"] == 1
     again = trace_from_json(data)
     assert again == trace
-    assert replay_trace(again).passed
+    assert replay_trace(again).ok
 
 
 def test_trace_from_json_names_the_bad_field():

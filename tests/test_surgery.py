@@ -58,14 +58,14 @@ def test_bezout_class_is_pair_independent(slope):
 
 
 def test_lemma_k_examples():
-    assert verify_lemma_k(Slope(19, 1)).passed
-    assert verify_lemma_k(Slope(39, 2)).passed
+    assert verify_lemma_k(Slope(19, 1)).ok
+    assert verify_lemma_k(Slope(39, 2)).ok
 
 
 @settings(max_examples=200, deadline=None)
 @given(coprime_slopes())
 def test_lemma_k_random_slopes(slope):
-    assert verify_lemma_k(slope).passed
+    assert verify_lemma_k(slope).ok
 
 
 def test_clasp_identity_s3_literal():
@@ -75,7 +75,7 @@ def test_clasp_identity_s3_literal():
 
 @pytest.mark.parametrize("s", range(3, 13))
 def test_fact_passes(s):
-    assert verify_fact(s).passed
+    assert verify_fact(s).ok
 
 
 def test_fact_exponent_examples():
