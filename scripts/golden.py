@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Golden digests of every CLI output over a fixed grid of commands.
+
+Runs ``pretzel_pi1.cli.main`` in process on each argv of the grid, in
+order, inside one fresh temporary directory, so a run can read the files
+that earlier runs wrote (``verify trace`` reads the traces that
+``derive --emit-trace`` wrote).  For each argv it records the exit code
+and the length and sha256 of stdout, and the same for every file the run
+writes (``--emit-trace``, ``--cert``, ``--emit``).  File names are
+relative to the directory, so no path of this machine reaches a digest.
+
+    python3 scripts/golden.py           # write tests/data/golden_digests.json
+    python3 scripts/golden.py --check   # recompute the whole grid and compare
+
+A change that alters a digest rewrites the file and says why.  Tier-1
+(tests/test_golden.py) recomputes the fast part of the grid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pretzel_pi1 import cli  # noqa: E402
+
+DIGESTS = ROOT / "tests" / "data" / "golden_digests.json"
+OUTPUT_FLAGS = ("--emit-trace", "--cert", "--emit")
+
+
+def _corrupt_move(data):
+    data["moves"][5]["via"] = "nope"
+
+
+def _corrupt_end(data):
+    data["end"]["relators"][0]["word"] += " c"
+
+
+def _corrupt_longitude(data):
+    data["longitude_end"] += " c"
+
+
+# failing traces: name -> (the passing trace it is made from, the corruption)
+FAILING_TRACES = {
+    "bad_move_s3.json": ("trace_s3.json", _corrupt_move),
+    "bad_end_s3.json": ("trace_s3.json", _corrupt_end),
+    "bad_longitude_s3.json": ("trace_s3.json", _corrupt_longitude),
+}
+
+# (s, slope) for nlo: certificates at and above 4s+7, inconclusive below it
+NLO_CASES = [(3, "19/1"), (3, "20/1"), (3, "39/2"), (3, "77/4"), (3, "18/1"),
+             (3, "17/1"), (4, "23/1"), (4, "47/2"), (4, "22/1"), (5, "27/1"),
+             (5, "26/1")]
+
+
+def grid() -> list[tuple[list[str], bool]]:
+    """(argv, fast) in run order; the fast runs need only fast runs before them."""
+    cases: list[tuple[list[str], bool]] = []
+
+    def add(fast: bool, *argv) -> None:
+        cases.append(([str(a) for a in argv], fast))
+
+    for s in range(3, 41):
+        add(s <= 10, "derive", "--s", s, "--format", "json", "--emit-trace", f"trace_s{s}.json")
+    for s in (3, 4, 5):
+        add(s == 3, "derive", "--s", s)
+    for s in (3, 4):
+        add(False, "derive", "--s", s, "--verify-induction", "--format", "json")
+    for s in range(3, 25):
+        add(s <= 10, "verify", "trace", f"trace_s{s}.json", "--check-abelian", "--format", "json")
+    add(True, "verify", "trace", "trace_s3.json", "--check-abelian")
+    add(True, "verify", "trace", "trace_s4.json", "--format", "json")
+    for name in FAILING_TRACES:
+        add(True, "verify", "trace", name, "--check-abelian", "--format", "json")
+        add(True, "verify", "trace", name, "--check-abelian")
+    for s, slope in ((3, "19/1"), (3, "39/2"), (3, "-7/2"), (4, "23/1"), (5, "27/1"),
+                     (8, "1328/1")):
+        name = f"fill_s{s}_{slope.replace('/', '_').replace('-', 'm')}.txt"
+        fast = s <= 4
+        add(fast, "surgery", "--s", s, f"--slope={slope}", "--emit", name)
+        add(fast, "surgery", "--s", s, f"--slope={slope}", "--format", "json")
+        add(fast, "abelianize", name)
+        add(fast, "abelianize", name, "--format", "json")
+        add(fast, "h1", "--s", s, f"--slope={slope}")
+        add(fast, "h1", "--s", s, f"--slope={slope}", "--format", "json")
+    for s in (3, 4):
+        for stage in ("wirtinger", "tunnel"):
+            add(s == 3, "gen", "--s", s, "--stage", stage)
+            add(s == 3, "gen", "--s", s, "--stage", stage, "--format", "json")
+    for s, slope in NLO_CASES:
+        name = f"cert_s{s}_{slope.replace('/', '_')}.json"
+        fast = s == 3
+        add(fast, "nlo", "--s", s, "--slope", slope, "--format", "json", "--cert", name)
+        add(fast, "nlo", "--s", s, "--slope", slope)
+    add(True, "verify", "fact", "--s", 3, "--format", "json")
+    add(True, "verify", "lemma-k", "--slope", "39/2", "--format", "json")
+    add(False, "verify", "induction", "--s", 4)
+    add(True, "parse", "clcLCL^-3CLclcl^2", "--format", "json")
+    add(True, "parse", "c l^-3 C")
+    return cases
+
+
+def _digest(data: bytes) -> dict:
+    return {"len": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _prepare(argv: list[str]) -> None:
+    """Write any failing trace the argv names, from its passing trace."""
+    for name in argv:
+        if name in FAILING_TRACES and not os.path.exists(name):
+            source, corrupt = FAILING_TRACES[name]
+            data = json.loads(pathlib.Path(source).read_text(encoding="utf-8"))
+            corrupt(data)
+            pathlib.Path(name).write_text(json.dumps(data, indent=2), encoding="utf-8")
+
+
+def run_one(argv: list[str]) -> dict:
+    """One in-process CLI run in the current directory, as a digest record."""
+    _prepare(argv)
+    outputs = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in OUTPUT_FLAGS]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return {"argv": argv, "exit": code,
+            "stdout": _digest(stdout.getvalue().encode("utf-8")),
+            "files": {name: _digest(pathlib.Path(name).read_bytes())
+                      if os.path.exists(name) else None for name in outputs}}
+
+
+def run_grid(cases: list[list[str]]) -> list[dict]:
+    """Run the argv lists in order in a fresh temporary directory."""
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="golden-") as workdir:
+        os.chdir(workdir)
+        try:
+            return [run_one(argv) for argv in cases]
+        finally:
+            os.chdir(previous)
+
+
+def load() -> list[dict]:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))["runs"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--check", action="store_true",
+                        help="compare the whole grid with the committed digests")
+    args = parser.parse_args()
+    records = run_grid([argv for argv, _ in grid()])
+    if args.check:
+        expected = {json.dumps(r["argv"]): {k: v for k, v in r.items() if k != "fast"}
+                    for r in load()}
+        bad = [r["argv"] for r in records if expected.get(json.dumps(r["argv"])) != r]
+        for argv in bad:
+            print("differs: " + " ".join(argv))
+        print(f"{len(records) - len(bad)} of {len(records)} runs match")
+        return 1 if bad else 0
+    fast = {json.dumps(argv) for argv, is_fast in grid() if is_fast}
+    lines = [json.dumps({**r, "fast": json.dumps(r["argv"]) in fast}) for r in records]
+    DIGESTS.write_text('{"runs": [\n' + ",\n".join(lines) + "\n]}\n", encoding="utf-8")
+    print(f"wrote {len(records)} runs to {DIGESTS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ are explicit moves, which keeps replay deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -100,12 +101,24 @@ class Presentation:
 
     # -- abelianization ----------------------------------------------
 
+    def exponent_rows(self) -> list[smith.Row]:
+        """One sparse row {generator index: exponent sum} per relator, zeros left out."""
+        index = {g: j for j, g in enumerate(self.generators)}
+        rows = []
+        for _, word in self.relators:
+            row: smith.Row = {}
+            for (name, sign), count in Counter(word.letters).items():
+                j = index[name]
+                row[j] = row.get(j, 0) + sign * count
+            rows.append({j: e for j, e in row.items() if e})
+        return rows
+
     def exponent_matrix(self) -> list[list[int]]:
-        return [[word.exponent_sum(g) for g in self.generators]
-                for _, word in self.relators]
+        n = len(self.generators)
+        return [[row.get(j, 0) for j in range(n)] for row in self.exponent_rows()]
 
     def abelian_invariants(self) -> tuple[int, ...]:
-        return smith.abelian_invariants(self.exponent_matrix(), len(self.generators))
+        return smith.sparse_invariants(self.exponent_rows(), len(self.generators))
 
     def abel_image(self, word: Word) -> tuple[int, ...]:
         undeclared = word.generators() - set(self.generators)

@@ -1,12 +1,18 @@
 """Exact integer Smith normal form and abelian-quotient arithmetic.
 
 Everything runs on Python's arbitrary-precision integers; surgery
-coefficients can be large and overflow must be impossible.
+coefficients can be large and overflow must be impossible.  Invariant
+factors are computed on sparse rows: unit pivots are eliminated first,
+and only the core they leave reaches the dense Smith normal form.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from typing import Iterable
+
 Matrix = list[list[int]]
+Row = dict[int, int]  # column index -> nonzero entry
 
 
 def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
@@ -40,42 +46,37 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
         for row in V:
             row[dst] += q * row[src]
 
+    def smallest_to_pivot(t):
+        """Move the smallest nonzero entry of the trailing block to (t, t)."""
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
+            return False
+        _, i, j = min(entries)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        return True
+
     t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    while t < min(m, n) and smallest_to_pivot(t):
         while True:
-            dirty = False
+            p = A[t][t]
             for i in range(t + 1, m):
                 if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
+                    row_add(i, t, -(A[i][t] // p))
             for j in range(t + 1, n):
                 if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
+                    col_add(j, t, -(A[t][j] // p))
+            # A remainder left in row or column t is smaller than the pivot.
+            # Taking the smallest entry of the whole block as the next pivot,
+            # rather than each remainder as it appears, keeps the entries of
+            # the block from growing without bound.
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][j] for j in range(t + 1, n)):
+                smallest_to_pivot(t)
                 continue
-            offender = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
-                    offender = i
-                    break
+            if abs(p) == 1:  # every integer is divisible by a unit
+                break
+            offender = next((i for i in range(t + 1, m)
+                             if any(A[i][j] % p for j in range(t + 1, n))), None)
             if offender is None:
                 break
             row_add(t, offender, 1)
@@ -87,10 +88,59 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
 
 def abelian_invariants(matrix: Matrix, n_generators: int) -> tuple[int, ...]:
     """Invariant factors of Z^n / rowspace(matrix); 0 encodes a Z factor."""
-    diag, _ = smith_normal_form(matrix)
-    finite = [d for d in diag if d > 1]
-    free = n_generators - len(diag)
-    return tuple(finite + [0] * free)
+    return sparse_invariants([{j: a for j, a in enumerate(row) if a} for row in matrix],
+                             n_generators)
+
+
+def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]:
+    """Invariant factors of Z^n modulo the lattice spanned by sparse rows.
+
+    A +-1 entry at row r, column j removes row r and generator j: row
+    operations clear column j in the other rows, after which row r splits
+    off a trivial factor.  This is the abelian shadow of removing a
+    generator by solving a relator for it.  The dense Smith normal form
+    then runs only on the core that is left, with its empty columns
+    dropped.
+    """
+    rows = [dict(row) for row in rows if row]
+    where: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows using it
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    units = 0
+    pending = list(range(len(rows)))
+    while pending:
+        r = pending.pop()
+        row = rows[r]
+        j = next((j for j, a in row.items() if a in (1, -1)), None)
+        if j is None:
+            continue
+        for i in where.pop(j) - {r}:
+            other = rows[i]
+            f = other.pop(j) * row[j]  # other - f * row clears column j
+            for k, a in row.items():
+                if k == j:
+                    continue
+                b = other.get(k, 0) - f * a
+                if b:
+                    other[k] = b
+                    where[k].add(i)
+                else:
+                    del other[k]
+                    where[k].discard(i)
+            pending.append(i)
+        for k in row:
+            if k != j:
+                where[k].discard(r)
+        rows[r] = {}
+        units += 1
+    core = [row for row in rows if row]
+    diag: list[int] = []
+    if core:
+        cols = sorted(set().union(*core))
+        diag, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in core])
+    free = n_generators - units - len(diag)
+    return tuple([d for d in diag if d > 1] + [0] * free)
 
 
 def quotient_class(vector: list[int], matrix: Matrix) -> tuple[int, ...]:

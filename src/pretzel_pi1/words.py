@@ -161,6 +161,8 @@ class Word:
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every signed occurrence of ``name`` by ``replacement``."""
+        if (name, 1) not in self.letters and (name, -1) not in self.letters:
+            return self
         inv = ~replacement
         out: list[Letter] = []
         for gen, sign in self.letters:
