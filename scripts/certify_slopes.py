@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from pretzel_pi1.orderability import Certificate, nlo_search, replay_certificate
+from pretzel_pi1.orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
 from pretzel_pi1.surgery import parse_slope
 
 
@@ -23,7 +23,7 @@ def main() -> int:
                         default=["17/1", "18/1", "19/1", "20/1", "39/2", "21/1"])
     parser.add_argument("--out", type=pathlib.Path,
                         help="directory for certificate JSON files")
-    parser.add_argument("--depth", type=int, default=100_000)
+    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     args = parser.parse_args()
 
     if args.out:

@@ -56,10 +56,26 @@ FAILING_TRACES = {
     "bad_longitude_s3.json": ("trace_s3.json", _corrupt_longitude),
 }
 
+# presentation files for abelianize whose unit-pivot elimination leaves a
+# dense core larger than 1x1: name -> text
+PRESENTATIONS = {
+    "core_2x2.txt": "gens: a b\nrel r1: a^2 b^4\nrel r2: a^6 b^8\n",
+    "core_coprime.txt": "gens: a b\nrel r1: a^2\nrel r2: b^3\n",
+    "core_3x3.txt": ("gens: a b c\nrel r1: a^2 b^4 c^6\nrel r2: a^6 b^2 c^4\n"
+                     "rel r3: a^4 b^6 c^2\n"),
+    "core_after_unit.txt": ("gens: a b c\nrel r1: a b^3 c^5\nrel r2: a^2 b^4 c^6\n"
+                            "rel r3: a^3 b^9 c^9\n"),
+    "core_free.txt": "gens: a b c\nrel r1: a^4 b^6 c^10\n",
+}
+
 # (s, slope) for nlo: certificates at and above 4s+7, inconclusive below it
 NLO_CASES = [(3, "19/1"), (3, "20/1"), (3, "39/2"), (3, "77/4"), (3, "18/1"),
              (3, "17/1"), (4, "23/1"), (4, "47/2"), (4, "22/1"), (5, "27/1"),
-             (5, "26/1")]
+             (5, "26/1"), (3, "3000/1"), (3, "1000/1"), (3, "300/7"), (3, "101/5"),
+             (3, "37/2"), (3, "75/4"), (3, "0/1"), (4, "200/3"), (4, "45/2"),
+             (4, "1001/10"), (5, "55/2"), (5, "53/2"), (5, "2999/7"), (6, "31/1"),
+             (6, "30/1"), (8, "39/1"), (8, "38/1"), (8, "1328/1"), (12, "55/1"),
+             (12, "54/1")]
 
 
 def grid() -> list[tuple[list[str], bool]]:
@@ -73,7 +89,7 @@ def grid() -> list[tuple[list[str], bool]]:
         add(s <= 10, "derive", "--s", s, "--format", "json", "--emit-trace", f"trace_s{s}.json")
     for s in (3, 4, 5):
         add(s == 3, "derive", "--s", s)
-    for s in (3, 4):
+    for s in range(3, 13):
         add(False, "derive", "--s", s, "--verify-induction", "--format", "json")
     for s in range(3, 25):
         add(s <= 10, "verify", "trace", f"trace_s{s}.json", "--check-abelian", "--format", "json")
@@ -92,13 +108,16 @@ def grid() -> list[tuple[list[str], bool]]:
         add(fast, "abelianize", name, "--format", "json")
         add(fast, "h1", "--s", s, f"--slope={slope}")
         add(fast, "h1", "--s", s, f"--slope={slope}", "--format", "json")
+    for name in PRESENTATIONS:
+        add(True, "abelianize", name)
+        add(True, "abelianize", name, "--format", "json")
     for s in (3, 4):
         for stage in ("wirtinger", "tunnel"):
             add(s == 3, "gen", "--s", s, "--stage", stage)
             add(s == 3, "gen", "--s", s, "--stage", stage, "--format", "json")
     for s, slope in NLO_CASES:
         name = f"cert_s{s}_{slope.replace('/', '_')}.json"
-        fast = s == 3
+        fast = s == 3 and int(slope.split("/")[0]) < 100
         add(fast, "nlo", "--s", s, "--slope", slope, "--format", "json", "--cert", name)
         add(fast, "nlo", "--s", s, "--slope", slope)
     add(True, "verify", "fact", "--s", 3, "--format", "json")
@@ -114,8 +133,11 @@ def _digest(data: bytes) -> dict:
 
 
 def _prepare(argv: list[str]) -> None:
-    """Write any failing trace the argv names, from its passing trace."""
+    """Write any presentation file the argv names, and any failing trace,
+    from its passing trace."""
     for name in argv:
+        if name in PRESENTATIONS:
+            pathlib.Path(name).write_text(PRESENTATIONS[name], encoding="utf-8")
         if name in FAILING_TRACES and not os.path.exists(name):
             source, corrupt = FAILING_TRACES[name]
             data = json.loads(pathlib.Path(source).read_text(encoding="utf-8"))

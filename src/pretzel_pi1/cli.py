@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .derivation import full_trace, run_pipeline, verify_L_induction, verify_R_induction
 from .knot import tunnel_collapse, wirtinger_presentation
-from .orderability import Certificate, nlo_search, replay_certificate
+from .orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
 from .presentations import (
     Check,
     Presentation,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     # A string default goes through type=int only when nlo is parsed, so a
     # malformed PRETZEL_PI1_DEPTH is a usage error of nlo alone.
     nlo.add_argument("--depth", type=int,
-                     default=os.environ.get("PRETZEL_PI1_DEPTH", "100000"))
+                     default=os.environ.get("PRETZEL_PI1_DEPTH", str(DEFAULT_DEPTH)))
     nlo.add_argument("--cert", metavar="FILE")
     _add_format(nlo)
     nlo.set_defaults(run=_cmd_nlo)

@@ -225,13 +225,13 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     if word.letters[pos:pos + len(old)] != old.letters:
         raise DerivationError(f"no occurrence of {old} at position {pos} in {word}")
     diff = new * ~old
-    witness = rotation_witness(diff, relator.cyclic_reduce()[0])
+    cyclic, outer = relator.cyclic_reduce()
+    witness = rotation_witness(diff, cyclic)
     if witness is None:
         raise DerivationError(f"replacement {old} -> {new} is not justified by {relator}")
-    core_word = relator.cyclic_reduce()[0].word
-    core = ~core_word if witness["inverted"] else core_word
+    core = ~cyclic.word if witness["inverted"] else cyclic.word
     prefix = Word(core.letters[:witness["rotation"]])
-    conj = witness["conjugator"] * ~prefix * ~relator.cyclic_reduce()[1]
+    conj = witness["conjugator"] * ~prefix * ~outer
     return Insertion(label, witness["inverted"], conj, pos)
 
 

@@ -101,31 +101,31 @@ class Presentation:
 
     # -- abelianization ----------------------------------------------
 
-    def exponent_rows(self) -> list[smith.Row]:
-        """One sparse row {generator index: exponent sum} per relator, zeros left out."""
+    def exponent_rows(self, *words: Word) -> list[smith.Row]:
+        """One sparse row {generator index: exponent sum}, zeros left out, per
+        relator and then per extra word."""
         index = {g: j for j, g in enumerate(self.generators)}
         rows = []
-        for _, word in self.relators:
+        for word in [w for _, w in self.relators] + list(words):
             row: smith.Row = {}
             for (name, sign), count in Counter(word.letters).items():
-                j = index[name]
+                j = index.get(name)
+                if j is None:
+                    raise PresentationError(f"word uses undeclared generator {name!r}")
                 row[j] = row.get(j, 0) + sign * count
             rows.append({j: e for j, e in row.items() if e})
         return rows
 
-    def exponent_matrix(self) -> list[list[int]]:
-        n = len(self.generators)
-        return [[row.get(j, 0) for j in range(n)] for row in self.exponent_rows()]
-
     def abelian_invariants(self) -> tuple[int, ...]:
         return smith.sparse_invariants(self.exponent_rows(), len(self.generators))
 
-    def abel_image(self, word: Word) -> tuple[int, ...]:
-        undeclared = word.generators() - set(self.generators)
-        if undeclared:
-            raise PresentationError(f"word uses undeclared generators {sorted(undeclared)}")
-        vector = [word.exponent_sum(g) for g in self.generators]
-        return smith.quotient_class(vector, self.exponent_matrix())
+    def null_homologous(self, word: Word) -> bool:
+        """Whether word is 0 in H1, that is whether adding it as a relator
+        leaves the invariant factors unchanged.  This is exact: a finitely
+        generated abelian group G has G/<w> isomorphic to G only when w = 0."""
+        rows = self.exponent_rows(word)
+        n = len(self.generators)
+        return smith.sparse_invariants(rows, n) == smith.sparse_invariants(rows[:-1], n)
 
     # -- text format ----------------------------------------------------
 
@@ -202,6 +202,8 @@ class AddGenerator:
     macro: Optional[str] = None
 
     def apply(self, p: Presentation) -> Presentation:
+        if not is_generator_name(self.gen):
+            raise SideConditionViolated(self, f"bad generator name {self.gen!r}")
         if self.gen in p.generators:
             raise SideConditionViolated(self, f"generator {self.gen!r} already present")
         if p.has_relator(self.label):

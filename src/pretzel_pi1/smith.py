@@ -15,18 +15,12 @@ Matrix = list[list[int]]
 Row = dict[int, int]  # column index -> nonzero entry
 
 
-def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (diag, V) where diag is the list of nonzero diagonal entries
-    d1 | d2 | ... (positive, divisibility chain) and V is the accumulated
-    column transform: row-vector classes modulo the row lattice of the
-    input are read off from x @ V with coordinate i taken mod diag[i].
-    """
+def smith_normal_form(matrix: Matrix) -> list[int]:
+    """The nonzero diagonal d1 | d2 | ... (positive, a divisibility chain) that
+    unimodular row and column operations bring an integer matrix to."""
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -34,16 +28,12 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def row_add(dst, src, q):
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
 
     def col_add(dst, src, q):
         for row in A:
-            row[dst] += q * row[src]
-        for row in V:
             row[dst] += q * row[src]
 
     def smallest_to_pivot(t):
@@ -82,18 +72,12 @@ def smith_normal_form(matrix: Matrix) -> tuple[list[int], Matrix]:
             row_add(t, offender, 1)
         t += 1
 
-    diag = [abs(A[i][i]) for i in range(min(m, n)) if A[i][i]]
-    return diag, V
-
-
-def abelian_invariants(matrix: Matrix, n_generators: int) -> tuple[int, ...]:
-    """Invariant factors of Z^n / rowspace(matrix); 0 encodes a Z factor."""
-    return sparse_invariants([{j: a for j, a in enumerate(row) if a} for row in matrix],
-                             n_generators)
+    return [abs(A[i][i]) for i in range(min(m, n)) if A[i][i]]
 
 
 def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]:
-    """Invariant factors of Z^n modulo the lattice spanned by sparse rows.
+    """Invariant factors of Z^n modulo the lattice spanned by sparse rows;
+    0 encodes a Z factor.
 
     A +-1 entry at row r, column j removes row r and generator j: row
     operations clear column j in the other rows, after which row r splits
@@ -138,25 +122,9 @@ def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]
     diag: list[int] = []
     if core:
         cols = sorted(set().union(*core))
-        diag, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in core])
+        diag = smith_normal_form([[row.get(j, 0) for j in cols] for row in core])
     free = n_generators - units - len(diag)
     return tuple([d for d in diag if d > 1] + [0] * free)
-
-
-def quotient_class(vector: list[int], matrix: Matrix) -> tuple[int, ...]:
-    """Canonical form of a vector in Z^n modulo the row lattice of matrix.
-
-    Coordinates are expressed in the Smith basis; finite coordinates are
-    reduced into [0, d) and torsion-free coordinates are kept exact.
-    """
-    if not matrix:
-        return tuple(vector)
-    diag, V = smith_normal_form(matrix)
-    n = len(vector)
-    y = [sum(vector[i] * V[i][j] for i in range(n)) for j in range(n)]
-    for i, d in enumerate(diag):
-        y[i] %= d
-    return tuple(y)
 
 
 def group_order(invariants: tuple[int, ...]) -> int:

@@ -181,13 +181,12 @@ class Word:
 
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
         """Split off the conjugator: self == conj * core * ~conj."""
-        letters = list(self.letters)
-        conj: list[Letter] = []
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-                and letters[0][1] == -letters[-1][1]:
-            conj.append(letters.pop(0))
-            letters.pop()
-        return CyclicWord(Word(letters)), Word(conj)
+        letters, n = self.letters, len(self.letters)
+        k = 0  # matching outer pairs
+        while n - 2 * k >= 2 and letters[k][0] == letters[n - 1 - k][0] \
+                and letters[k][1] == -letters[n - 1 - k][1]:
+            k += 1
+        return CyclicWord(Word(letters[k:n - k])), Word(letters[:k])
 
     def find(self, pattern: "Word", start: int = 0) -> int:
         """Index of the first occurrence of pattern's letters, or -1."""

@@ -109,11 +109,16 @@ def _corrupt_longitude(data):
     data["longitude_end"] += " c"
 
 
+def _corrupt_added_generator(data):
+    data["moves"][0]["gen"] = "A"
+
+
 @pytest.mark.parametrize("corrupt,code,failure", [
     (None, 0, {}),
     (_corrupt_move, 1, {"detail": "move 5 failed", "failed_move": 5}),
     (_corrupt_end, 1, {"detail": "end presentation does not match"}),
     (_corrupt_longitude, 1, {"detail": "end longitude does not match"}),
+    (_corrupt_added_generator, 1, {"detail": "move 0 failed", "failed_move": 0}),
 ])
 def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
     data = trace_to_json(full_trace(run_pipeline(3)))

@@ -83,13 +83,14 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
 @given(small_matrices)
 def test_smith_matches_minor_gcd_oracle(matrix):
     n = len(matrix[0])
-    assert smith.abelian_invariants(matrix, n) == invariant_factors_by_minors(matrix, n)
+    rows = [{j: a for j, a in enumerate(row) if a} for row in matrix]
+    assert smith.sparse_invariants(rows, n) == invariant_factors_by_minors(matrix, n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
 def test_smith_divisibility_chain(matrix):
-    diag, _ = smith.smith_normal_form(matrix)
+    diag = smith.smith_normal_form(matrix)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
         assert a > 0
@@ -107,20 +108,63 @@ def test_abelianization_examples():
     assert filled.abelian_invariants() == (19,)
 
 
-def test_abel_image_examples():
+def test_null_homologous_examples():
     gks = Presentation(("c", "l"), (("r_inf", W("clcLCL^-3CLclcl^2")),))
     longitude = W("c^-4 l c l^3 c l^3 c l c^-15")
-    assert all(v == 0 for v in gks.abel_image(longitude))
-    image_c = gks.abel_image(W("c"))
-    assert any(v != 0 for v in image_c)
-    # c generates the infinite factor: some coordinate is +-1
-    assert 1 in {abs(v) for v in image_c}
-    assert all(v == 0 for v in gks.abel_image(Word()))
-    with pytest.raises(Exception):
-        gks.abel_image(W("z"))
+    assert gks.null_homologous(longitude)
+    assert not gks.null_homologous(W("c"))
+    # c generates the infinite factor: adding it as a relator kills H1
+    assert gks.replace(relators=gks.relators + (("c", W("c")),)).abelian_invariants() == ()
+    assert gks.null_homologous(Word())
+    with pytest.raises(PresentationError):
+        gks.null_homologous(W("z"))
     # relator-free presentations have the trivial lattice
     free2 = Presentation(("c", "l"), ())
-    assert free2.abel_image(W("c l^-2")) == (1, -2)
+    assert free2.exponent_rows(W("c l^-2")) == [{0: 1, 1: -2}]
+    assert not free2.null_homologous(W("c l^-2"))
+
+
+GENERATORS = ("a", "b", "c")
+words = st.lists(st.tuples(st.sampled_from(GENERATORS), st.sampled_from((1, -1))),
+                 max_size=12).map(Word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words)
+def test_null_homologous_without_relators_is_zero_exponent_sums(word):
+    free = Presentation(GENERATORS, ())
+    assert free.null_homologous(word) == all(word.exponent_sum(g) == 0 for g in GENERATORS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(words, min_size=1, max_size=3), words, st.data())
+def test_conjugates_of_relators_are_null_homologous(relators, x, data):
+    p = Presentation(GENERATORS, tuple((f"r{i}", r) for i, r in enumerate(relators)))
+    r = data.draw(st.sampled_from(relators))
+    assert p.null_homologous(x * r * ~x)
+    assert p.null_homologous(x * ~r * ~x)
+
+
+def dense_null_homologous(p, word):
+    """The dense oracle: word lies in the relator lattice exactly when appending
+    its exponent vector leaves the Smith diagonal unchanged."""
+    matrix = [[w.exponent_sum(g) for g in p.generators] for _, w in p.relators]
+    vector = [word.exponent_sum(g) for g in p.generators]
+    return smith.smith_normal_form(matrix + [vector]) == smith.smith_normal_form(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.just(("a", "b", "c", "d")[:n]),
+    st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+             max_size=4),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))))
+def test_null_homologous_matches_the_dense_oracle(case):
+    gens, exponents, vector = case
+    p = Presentation(gens, tuple(
+        (f"r{i}", Word.from_syllables(zip(gens, row))) for i, row in enumerate(exponents)))
+    word = Word.from_syllables(zip(gens, vector))
+    assert p.null_homologous(word) == dense_null_homologous(p, word)
 
 
 BASE = Presentation(
@@ -215,6 +259,10 @@ def test_replay_trace_pass_and_negative_control():
     report2 = replay_trace(DerivationTrace(BASE, bad_moves, BASE))
     assert not report2.ok
     assert report2.first_failure().index == 1
+    # a malformed generator name fails its move instead of raising
+    for gen in ("A", "f0 "):
+        bad_add = (AddGenerator(gen, W("a b"), "rz"),)
+        assert replay_trace(DerivationTrace(BASE, bad_add, BASE)).first_failure().index == 0
 
 
 def test_empty_trace_passes():
