@@ -87,12 +87,15 @@ def grid() -> list[tuple[list[str], bool]]:
 
     for s in range(3, 41):
         add(s <= 10, "derive", "--s", s, "--format", "json", "--emit-trace", f"trace_s{s}.json")
+    for s in (60, 100):  # large s, where a move touches few of many relators
+        add(False, "derive", "--s", s, "--format", "json", "--emit-trace", f"trace_s{s}.json")
     for s in (3, 4, 5):
         add(s == 3, "derive", "--s", s)
     for s in range(3, 13):
         add(False, "derive", "--s", s, "--verify-induction", "--format", "json")
     for s in range(3, 25):
         add(s <= 10, "verify", "trace", f"trace_s{s}.json", "--check-abelian", "--format", "json")
+    add(False, "verify", "trace", "trace_s60.json", "--check-abelian", "--format", "json")
     add(True, "verify", "trace", "trace_s3.json", "--check-abelian")
     add(True, "verify", "trace", "trace_s4.json", "--format", "json")
     for name in FAILING_TRACES:

@@ -43,7 +43,7 @@ from .presentations import (
     apply_move,
     solve_for,
 )
-from .words import CyclicWord, Word, rotation_witness
+from .words import CyclicWord, Word, rotation_witness, splice
 
 
 class DerivationError(RuntimeError):
@@ -270,7 +270,7 @@ def run_pipeline(s: int) -> PipelineResult:
         pos = lon.find(old)
         if pos < 0:
             raise DerivationError(f"{old} does not occur in the longitude")
-        target = Word(lon.letters[:pos] + new.letters + lon.letters[pos + len(old):])
+        target = splice(lon[:pos], new, lon[pos + len(old):])
         do(RewriteLongitude(target, via, macro=macro))
 
     for move in tunnel_moves(s):
@@ -362,14 +362,12 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
         raise DerivationError("input longitude does not match the pipeline output")
     relator = final_relator(s)
     core = CyclicWord(relator)
-    bracket = Word.from_syllables(
-        [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)])
-    tail = Word.from_syllables([("c", 1), ("l", s), ("c", 1), ("l", 1),
-                                ("c", -(2 * s + 9))])
+    bracket = [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)]
+    tail = [("c", 1), ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9))]
 
     def chain_word(n: int) -> Word:
-        return (_power("c", -(s - 2 + n)) * _gen("l") * _gen("c") * _power("l", s)
-                * bracket ** (s - n) * tail)
+        return Word.from_syllables([("c", -(s - 2 + n)), ("l", 1), ("c", 1), ("l", s)]
+                                   + bracket * (s - n) + tail)
 
     words = [chain_word(n) for n in range(1, s + 1)]
     moves = []

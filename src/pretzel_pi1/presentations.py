@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from . import smith
-from .words import Word, is_generator_name, parse_word, rotation_witness
+from .words import Word, is_generator_name, parse_word, rotation_witness, splice
 
 
 class PresentationError(ValueError):
@@ -43,9 +43,17 @@ def _checked(move, compute, *args):
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
+    """A presentation; the constructor checks every generator and relator.
+
+    Alongside the fields it keeps, by label, each relator's word and its
+    generator set.  A move builds its result with `_moved`, which checks
+    only the relators that are new or rewritten and carries the rest over.
+    """
     generators: tuple[str, ...]
     relators: tuple[tuple[str, Word], ...]
     provenance: Optional[str] = None
+    _words: dict = field(init=False, repr=False)  # label -> word
+    _uses: dict = field(init=False, repr=False)   # label -> set of its generators
 
     def __post_init__(self):
         seen = set()
@@ -55,23 +63,50 @@ class Presentation:
             if g in seen:
                 raise PresentationError(f"duplicate generator: {g!r}")
             seen.add(g)
-        labels = set()
+        self._index(None)
+
+    def _index(self, parent: Optional["Presentation"]) -> None:
+        """Index the relators by label.  A relator that parent holds as the
+        same word object under the same label keeps its generator set;
+        every other relator is checked."""
+        declared = set(self.generators)
+        words: dict[str, Word] = {}
+        uses: dict[str, set[str]] = {}
         for label, word in self.relators:
-            if not label or any(ch.isspace() for ch in label) or ":" in label:
-                raise PresentationError(f"bad relator label: {label!r}")
-            if label in labels:
+            if parent is not None and parent._words.get(label) is word:
+                used = parent._uses[label]
+            else:
+                if not label or any(ch.isspace() for ch in label) or ":" in label:
+                    raise PresentationError(f"bad relator label: {label!r}")
+                used = word.generators()
+            if label in words:
                 raise PresentationError(f"duplicate relator label: {label!r}")
-            labels.add(label)
-            undeclared = word.generators() - seen
+            undeclared = used - declared
             if undeclared:
                 raise PresentationError(
                     f"relator {label} uses undeclared generators {sorted(undeclared)}")
+            words[label] = word
+            uses[label] = used
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_uses", uses)
+
+    def _moved(self, relators: tuple[tuple[str, Word], ...],
+               generators: Optional[tuple[str, ...]] = None) -> "Presentation":
+        """The presentation a move makes of this one.  Generators a move adds
+        are checked by the move itself."""
+        new = object.__new__(Presentation)
+        object.__setattr__(new, "generators",
+                           self.generators if generators is None else generators)
+        object.__setattr__(new, "relators", relators)
+        object.__setattr__(new, "provenance", self.provenance)
+        new._index(self)
+        return new
 
     # equality ignores relator order but not generator order
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
                 and self.generators == other.generators
-                and dict(self.relators) == dict(other.relators))
+                and self._words == other._words)
 
     def __hash__(self) -> int:
         return hash((self.generators, frozenset(self.relators)))
@@ -80,13 +115,17 @@ class Presentation:
         return [label for label, _ in self.relators]
 
     def relator(self, label: str) -> Word:
-        for lab, word in self.relators:
-            if lab == label:
-                return word
-        raise KeyError(f"no relator labeled {label!r}")
+        word = self._words.get(label)
+        if word is None:
+            raise KeyError(f"no relator labeled {label!r}")
+        return word
 
     def has_relator(self, label: str) -> bool:
-        return any(lab == label for lab, _ in self.relators)
+        return label in self._words
+
+    def labels_with(self, gen: str) -> set[str]:
+        """The labels of the relators in which gen occurs."""
+        return {label for label, used in self._uses.items() if gen in used}
 
     def replace(self, **changes) -> "Presentation":
         data = {"generators": self.generators, "relators": self.relators,
@@ -96,8 +135,8 @@ class Presentation:
 
     def with_relator(self, label: str, word: Word) -> "Presentation":
         """The word under label replaced, every other relator kept in place."""
-        return self.replace(relators=tuple((lab, word if lab == label else w)
-                                           for lab, w in self.relators))
+        return self._moved(tuple((lab, word if lab == label else w)
+                                 for lab, w in self.relators))
 
     # -- abelianization ----------------------------------------------
 
@@ -167,10 +206,8 @@ def solve_for(word: Word, gen: str) -> Word:
         raise PresentationError(
             f"generator {gen!r} occurs {len(hits)} times, need exactly 1")
     i = hits[0]
-    sign = word.letters[i][1]
-    u = Word(word.letters[:i])
-    v = Word(word.letters[i + 1:])
-    return ~u * ~v if sign > 0 else v * u
+    vu = splice(word[i + 1:], word[:i])
+    return ~vu if word.letters[i][1] > 0 else vu
 
 
 # -- moves ----------------------------------------------------------------
@@ -187,11 +224,10 @@ class Insertion:
         r = p.relator(self.relator)
         if self.inverted:
             r = ~r
-        ins = self.conjugator * r * ~self.conjugator
         if not 0 <= self.position <= len(word):
             raise PresentationError(f"insertion position {self.position} out of range")
-        return Word(word.letters[:self.position] + ins.letters
-                    + word.letters[self.position:])
+        return splice(word[:self.position], self.conjugator, r, ~self.conjugator,
+                      word[self.position:])
 
 
 @dataclass(frozen=True)
@@ -211,8 +247,7 @@ class AddGenerator:
         if self.definition.generators() - set(p.generators):
             raise SideConditionViolated(self, "definition uses undeclared generators")
         relator = Word.generator(self.gen) * ~self.definition
-        return p.replace(generators=p.generators + (self.gen,),
-                         relators=p.relators + ((self.label, relator),))
+        return p._moved(p.relators + ((self.label, relator),), p.generators + (self.gen,))
 
 
 @dataclass(frozen=True)
@@ -228,10 +263,10 @@ class RemoveGenerator:
         if self.gen not in p.generators:
             raise SideConditionViolated(self, f"no generator {self.gen!r}")
         replacement = self.solved(p)
-        relators = tuple((lab, w.substitute(self.gen, replacement))
+        targets = p.labels_with(self.gen)
+        relators = tuple((lab, w.substitute(self.gen, replacement) if lab in targets else w)
                          for lab, w in p.relators if lab != self.via)
-        generators = tuple(g for g in p.generators if g != self.gen)
-        return p.replace(generators=generators, relators=relators)
+        return p._moved(relators, tuple(g for g in p.generators if g != self.gen))
 
 
 @dataclass(frozen=True)
@@ -262,9 +297,9 @@ class SubstituteEverywhere:
                 raise SideConditionViolated(self, f"no relator labeled {sorted(missing)}")
             if self.justified_by in targets:
                 raise SideConditionViolated(self, "cannot rewrite the justifying relator")
-        relators = tuple((lab, w.substitute(self.gen, self.by) if lab in targets else w)
-                         for lab, w in p.relators)
-        return p.replace(relators=relators)
+        targets &= p.labels_with(self.gen)
+        return p._moved(tuple((lab, w.substitute(self.gen, self.by) if lab in targets else w)
+                              for lab, w in p.relators))
 
 
 @dataclass(frozen=True)
@@ -285,7 +320,7 @@ class AddRelator:
         if derived != self.word:
             raise SideConditionViolated(
                 self, f"derivation yields {derived}, declared {self.word}")
-        return p.replace(relators=p.relators + ((self.label, self.word),))
+        return p._moved(p.relators + ((self.label, self.word),))
 
 
 @dataclass(frozen=True)
@@ -327,8 +362,7 @@ class RemoveRelator:
             if _checked(self, p.relator, self.duplicate_of) != word:
                 raise SideConditionViolated(
                     self, f"{self.label} and {self.duplicate_of} differ")
-        return p.replace(relators=tuple((lab, w) for lab, w in p.relators
-                                        if lab != self.label))
+        return p._moved(tuple((lab, w) for lab, w in p.relators if lab != self.label))
 
 
 @dataclass(frozen=True)
@@ -361,8 +395,8 @@ class RelabelRelator:
             raise SideConditionViolated(self, f"no relator labeled {self.old!r}")
         if p.has_relator(self.new):
             raise SideConditionViolated(self, f"label {self.new!r} already present")
-        return p.replace(relators=tuple((self.new if lab == self.old else lab, w)
-                                        for lab, w in p.relators))
+        return p._moved(tuple((self.new if lab == self.old else lab, w)
+                              for lab, w in p.relators))
 
 
 @dataclass(frozen=True)
@@ -446,7 +480,7 @@ def apply_move(p: Presentation, move: Move,
             raise SideConditionViolated(move, "no longitude is being tracked")
         if not p.has_relator(move.via):
             raise SideConditionViolated(move, f"no relator labeled {move.via!r}")
-        diff = ~move.new_word * longitude
+        diff = splice(~move.new_word, longitude)
         if rotation_witness(diff, p.relator(move.via).cyclic_reduce()[0]) is None:
             raise SideConditionViolated(
                 move, "rewrite is not a single consequence of the cited relator")
@@ -470,6 +504,7 @@ def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
     invariants = p.abelian_invariants() if check_abelian else None
     for i, move in enumerate(trace.moves):
         name = f"move {i} {type(move).__name__}" + (f" [{move.macro}]" if move.macro else "")
+        before = p
         try:
             p, longitude = apply_move(p, move, longitude)
         except (SideConditionViolated, PresentationError, KeyError) as exc:
@@ -480,7 +515,8 @@ def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
             report.add(name, False, "longitude uses a generator absent from the presentation", i)
             report.detail = f"move {i} broke the longitude"
             return report
-        now = p.abelian_invariants() if check_abelian else None
+        # a move that returns the same presentation keeps its invariants
+        now = p.abelian_invariants() if check_abelian and p is not before else invariants
         if not report.add(name, now == invariants,
                           f"abelian invariants changed {invariants} -> {now}", i):
             report.detail = f"move {i} changed the abelianization"
@@ -514,6 +550,12 @@ def _text(value) -> str:
     return value
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 # kind -> move class; the JSON of a move is its dataclass fields
 MOVE_KINDS = {cls.__name__: cls for cls in Move.__args__}
 
@@ -523,9 +565,9 @@ _FIELD_FROM_JSON = {
     "Optional[str]": lambda text: None if text is None else _text(text),
     "Word": parse_word,
     "int": int,
-    "tuple[Insertion, ...]": lambda steps: tuple(_insertion_from_json(s) for s in steps),
+    "tuple[Insertion, ...]": lambda steps: tuple(_insertion_from_json(s) for s in _list(steps)),
     "Optional[tuple[str, ...]]": lambda labels: (None if labels is None
-                                                 else tuple(map(_text, labels))),
+                                                 else tuple(map(_text, _list(labels)))),
 }
 
 

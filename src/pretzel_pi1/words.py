@@ -46,6 +46,19 @@ def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
+def _splice_letters(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
+    """Concatenate reduced letter tuples, cancelling only at the seams: a
+    seam cancels until one side runs out or two letters do not cancel."""
+    out: list[Letter] = []
+    for letters in pieces:
+        k, n = 0, len(letters)
+        while out and k < n and out[-1][0] == letters[k][0] and out[-1][1] == -letters[k][1]:
+            out.pop()
+            k += 1
+        out.extend(letters[k:] if k else letters)
+    return tuple(out)
+
+
 class Word:
     """A freely reduced word; the universal currency of the toolkit."""
 
@@ -53,6 +66,13 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce_letters(letters))
+
+    @classmethod
+    def _reduced(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A word from a letter tuple the caller knows to be freely reduced."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -100,7 +120,14 @@ class Word:
         return Word(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
-        return Word(tuple((name, -sign) for name, sign in reversed(self.letters)))
+        return Word._reduced(tuple((name, -sign) for name, sign in reversed(self.letters)))
+
+    def __getitem__(self, span: slice) -> "Word":
+        """The letters of a slice as a word.  A subword of a reduced word is
+        reduced, so nothing is reduced again; steps other than 1 are refused."""
+        if not isinstance(span, slice) or span.step not in (None, 1):
+            raise TypeError("a word is sliced with step 1 only")
+        return Word._reduced(self.letters[span])
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -160,17 +187,20 @@ class Word:
         return sum(sign for gen, sign in self.letters if gen == name)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
-        """Replace every signed occurrence of ``name`` by ``replacement``."""
-        if (name, 1) not in self.letters and (name, -1) not in self.letters:
+        """Replace every signed occurrence of ``name`` by ``replacement``,
+        reducing only at the seams around each replaced letter."""
+        letters = self.letters
+        hits = [i for i, (gen, _) in enumerate(letters) if gen == name]
+        if not hits:
             return self
-        inv = ~replacement
-        out: list[Letter] = []
-        for gen, sign in self.letters:
-            if gen == name:
-                out.extend(replacement.letters if sign > 0 else inv.letters)
-            else:
-                out.append((gen, sign))
-        return Word(out)
+        forward, backward = replacement.letters, (~replacement).letters
+        pieces = []
+        start = 0
+        for i in hits:
+            pieces += (letters[start:i], forward if letters[i][1] > 0 else backward)
+            start = i + 1
+        pieces.append(letters[start:])
+        return Word._reduced(_splice_letters(pieces))
 
     def rotated(self, k: int) -> "Word":
         """Left rotation by k letters, reduced (a conjugate of self)."""
@@ -186,7 +216,7 @@ class Word:
         while n - 2 * k >= 2 and letters[k][0] == letters[n - 1 - k][0] \
                 and letters[k][1] == -letters[n - 1 - k][1]:
             k += 1
-        return CyclicWord(Word(letters[k:n - k])), Word(letters[:k])
+        return CyclicWord(self[k:n - k]), self[:k]
 
     def find(self, pattern: "Word", start: int = 0) -> int:
         """Index of the first occurrence of pattern's letters, or -1."""
@@ -242,13 +272,27 @@ class CyclicWord:
         return str(self.word)
 
     def rotation_of(self, other: Word) -> Optional[int]:
-        """k such that self.word rotated left by k equals other, else None."""
-        if len(other) != len(self.word):
+        """k such that self.word rotated left by k equals other, else None.
+
+        A rotation of a cyclically reduced word is reduced, so it is the
+        slice of the doubled letters at k, compared without building a word.
+        """
+        letters, target = self.word.letters, other.letters
+        n = len(letters)
+        if len(target) != n:
             return None
-        for k in range(max(1, len(self.word))):
-            if self.word.rotated(k) == other:
+        if n == 0:
+            return 0
+        doubled = letters + letters
+        for k in range(n):
+            if doubled[k] == target[0] and doubled[k:k + n] == target:
                 return k
         return None
+
+
+def splice(*pieces: Word) -> Word:
+    """The product of the words, reduced only at the seams between them."""
+    return Word._reduced(_splice_letters(piece.letters for piece in pieces))
 
 
 def rotation_witness(w: Word, relator: CyclicWord) -> Optional[dict]:

@@ -164,6 +164,22 @@ def test_verify_trace_malformed_is_a_usage_error(tmp_path):
         assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
+@pytest.mark.parametrize("kind,field", [("RewriteRelator", "steps"),
+                                        ("SubstituteEverywhere", "only_in")])
+def test_verify_trace_rejects_a_string_for_a_list_field(tmp_path, kind, field):
+    """A string in a list field is a malformed trace, not an identity move."""
+    data = trace_to_json(full_trace(run_pipeline(3)))
+    i = next(i for i, move in enumerate(data["moves"])
+             if move["kind"] == kind and move.get(field))
+    data["moves"][i][field] = ""
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data))
+    proc = run_cli("verify", "trace", str(trace_file))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"move {i}: field '{field}': expected a list" in proc.stderr
+
+
 def test_h1_output():
     proc = run_cli("h1", "--s", "3", "--slope", "39/2", check=True)
     assert proc.stdout.strip() == "39"

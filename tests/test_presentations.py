@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretzel_pi1 import smith
+from pretzel_pi1 import presentations, smith
+from pretzel_pi1.derivation import full_trace, run_pipeline
 from pretzel_pi1.presentations import (
     AddGenerator,
     AddRelator,
@@ -315,6 +316,62 @@ def test_trace_from_json_names_the_bad_field():
                        (unknown, "move 0: unknown move kind 'Frobnicate'")):
         with pytest.raises(PresentationError, match=named):
             trace_from_json(doc)
+
+
+def test_replay_touches_only_what_each_move_names(monkeypatch):
+    """Decoding and replaying the s=20 trace checks a whole presentation only
+    for the start and the end, and a RemoveGenerator or SubstituteEverywhere
+    substitutes only into the relators that hold its generator, plus the
+    tracked longitude."""
+    data = trace_to_json(full_trace(run_pipeline(20)))
+    validations, substituted, unexpected = [], [], []
+    post_init, substitute, step = (Presentation.__post_init__, Word.substitute,
+                                   presentations.apply_move)
+
+    def counting_post_init(self):
+        validations.append(self)
+        post_init(self)
+
+    def recording_substitute(self, name, replacement):
+        substituted.append(self)
+        return substitute(self, name, replacement)
+
+    def checked_step(p, move, longitude=None):
+        substituted.clear()
+        result = step(p, move, longitude)
+        expected = []
+        if isinstance(move, RemoveGenerator):
+            expected = [w for lab, w in p.relators
+                        if lab != move.via and move.gen in w.generators()] + [longitude]
+        elif isinstance(move, SubstituteEverywhere):
+            targets = move.only_in or set(p.labels()) - {move.justified_by}
+            expected = [w for lab, w in p.relators
+                        if lab in targets and move.gen in w.generators()]
+        if [id(w) for w in substituted] != [id(w) for w in expected]:
+            unexpected.append(move)
+        return result
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Word, "substitute", recording_substitute)
+    monkeypatch.setattr(presentations, "apply_move", checked_step)
+    trace = trace_from_json(data)
+    assert replay_trace(trace).ok
+    assert validations == [trace.start, trace.end]
+    assert unexpected == []
+    assert any(isinstance(m, RemoveGenerator) for m in trace.moves)
+
+
+def test_carried_generator_sets_match_a_fresh_index():
+    """After every move of the s=3..12 traces, the generator sets a presentation
+    carries over from its parent are those the public constructor finds."""
+    for s in range(3, 13):
+        trace = full_trace(run_pipeline(s))
+        p, longitude = trace.start, trace.longitude_start
+        for move in trace.moves:
+            p, longitude = apply_move(p, move, longitude)
+            fresh = Presentation(p.generators, p.relators)
+            assert all(p.labels_with(g) == fresh.labels_with(g) for g in p.generators), \
+                (s, move)
 
 
 def test_presentation_text_round_trip():

@@ -120,6 +120,13 @@ def test_check_abelian_replay_keeps_the_dense_snf_small(monkeypatch):
     monkeypatch.setattr(smith, "smith_normal_form", recording_dense)
     monkeypatch.setattr(smith, "sparse_invariants", recording_sparse)
     trace = full_trace(run_pipeline(20))
+    new_presentations = 0
+    p, longitude = trace.start, trace.longitude_start
+    for move in trace.moves:
+        q, longitude = apply_move(p, move, longitude)
+        new_presentations += q is not p
+        p = q
     assert replay_trace(trace, check_abelian=True).ok
-    assert len(checked) == len(trace.moves) + 1
+    # one H1 for the start, then one per move that returns a new presentation
+    assert len(checked) == 1 + new_presentations
     assert all(rows <= 2 and cols <= 2 for rows, cols in seen), seen

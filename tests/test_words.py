@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from pretzel_pi1.presentations import Insertion, Presentation, solve_for
 from pretzel_pi1.words import (
     CyclicWord,
     Word,
     W,
     WordError,
+    _reduce_letters,
     palindrome_rotation,
     parse_compact,
     parse_word,
+    splice,
 )
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -192,3 +195,102 @@ def test_cyclic_reduce_invariants(w):
     letters = core.word.letters
     if letters:
         assert not (letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1])
+
+
+# -- the paths that skip or localize reduction, against the letter reducer ----
+#
+# Three generators make seams cancel often.  _reduce_letters is the oracle:
+# each path must give what reducing the whole raw letter sequence gives.
+
+names3 = st.sampled_from(["a", "b", "c"])
+raw3 = st.lists(st.tuples(names3, st.sampled_from([1, -1])), max_size=24)
+words3 = raw3.map(Word)
+cyclic3 = words3.map(lambda w: w.cyclic_reduce()[0])
+
+
+def inverse_letters(letters):
+    return tuple((name, -sign) for name, sign in reversed(letters))
+
+
+def is_reduced(w):
+    return _reduce_letters(w.letters) == w.letters
+
+
+def rotation_by_rotating(cyclic, other):
+    """The rotate-and-compare loop that rotation_of replaced."""
+    if len(other) != len(cyclic.word):
+        return None
+    for k in range(max(1, len(cyclic.word))):
+        if cyclic.word.rotated(k) == other:
+            return k
+    return None
+
+
+@given(st.lists(words3, max_size=5))
+def test_splice_matches_the_reducer(pieces):
+    joined = splice(*pieces)
+    assert joined.letters == _reduce_letters(sum((w.letters for w in pieces), ()))
+
+
+@given(words3, names3, words3)
+def test_substitute_matches_the_reducer(w, g, r):
+    raw = []
+    for name, sign in w.letters:
+        raw.extend((r.letters if sign > 0 else inverse_letters(r.letters)) if name == g
+                   else [(name, sign)])
+    out = w.substitute(g, r)
+    assert out.letters == _reduce_letters(raw)
+    assert g in r.generators() or g not in out.generators()
+
+
+@given(words3, words3, words3, st.booleans(), st.data())
+def test_insertion_matches_the_reducer(w, r, conj, inverted, data):
+    p = Presentation(("a", "b", "c"), (("r", r),))
+    pos = data.draw(st.integers(min_value=0, max_value=len(w)))
+    inserted = inverse_letters(r.letters) if inverted else r.letters
+    raw = w.letters[:pos] + conj.letters + inserted + inverse_letters(conj.letters) + w.letters[pos:]
+    assert Insertion("r", inverted, conj, pos).perform(w, p).letters == _reduce_letters(raw)
+
+
+@given(words3)
+def test_invert_and_cyclic_reduce_build_reduced_words(w):
+    inv = ~w
+    assert inv.letters == _reduce_letters(inverse_letters(w.letters)) and is_reduced(inv)
+    core, conj = w.cyclic_reduce()
+    assert is_reduced(core.word) and is_reduced(conj)
+    assert _reduce_letters(conj.letters + core.word.letters + inverse_letters(conj.letters)) \
+        == w.letters
+
+
+@given(raw3, raw3, names3, st.sampled_from([1, -1]))
+def test_solve_for_matches_the_reducer(u_raw, v_raw, g, sign):
+    u = [(name, s) for name, s in u_raw if name != g]
+    v = [(name, s) for name, s in v_raw if name != g]
+    relator = Word(u + [(g, sign)] + v)  # the one g cannot cancel
+    i = next(j for j, (name, _) in enumerate(relator.letters) if name == g)
+    before, after = relator.letters[:i], relator.letters[i + 1:]
+    expected = (inverse_letters(before) + inverse_letters(after) if sign > 0
+                else after + before)
+    solved = solve_for(relator, g)
+    assert solved.letters == _reduce_letters(expected) and is_reduced(solved)
+
+
+@given(cyclic3, st.data())
+def test_rotation_of_matches_rotating(cyclic, data):
+    letters = cyclic.word.letters
+    k = data.draw(st.integers(min_value=0, max_value=max(0, len(letters) - 1)))
+    candidates = [Word(letters[k:] + letters[:k]), ~cyclic.word, data.draw(words3)]
+    for other in candidates:
+        assert cyclic.rotation_of(other) == rotation_by_rotating(cyclic, other)
+    inverse = CyclicWord(~cyclic.word)
+    for other in candidates:
+        assert inverse.rotation_of(other) == rotation_by_rotating(inverse, other)
+
+
+def test_slices_keep_step_one():
+    w = W("a b A")
+    assert w[1:] == W("b A") and w[:0] == Word()
+    with pytest.raises(TypeError):
+        w[::2]
+    with pytest.raises(TypeError):
+        w[0]
