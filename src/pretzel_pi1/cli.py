@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .derivation import full_trace, run_pipeline, verify_L_induction, verify_R_induction
+from .derivation import MoveRejected, derive, verify_L_induction, verify_R_induction
 from .knot import tunnel_collapse, wirtinger_presentation
 from .orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
 from .presentations import (
@@ -67,9 +67,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    result = run_pipeline(args.s)
-    trace = full_trace(result)
-    report = replay_trace(trace)
+    try:
+        result, trace, report = derive(args.s)
+    except MoveRejected as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     relator = result.presentation.relator("r_inf")
     inductions = None
     if args.verify_induction:

@@ -28,6 +28,7 @@ from typing import Callable
 from .knot import check_s, initial_longitude, strand_name, tunnel_moves, wirtinger_presentation
 from .presentations import (
     AddGenerator,
+    Check,
     DerivationTrace,
     Insertion,
     InvertRelator,
@@ -35,12 +36,12 @@ from .presentations import (
     RelabelRelator,
     RemoveGenerator,
     RemoveRelator,
+    Replay,
     Report,
     RewriteLongitude,
     RewriteRelator,
     RotateRelator,
     SubstituteEverywhere,
-    apply_move,
     solve_for,
 )
 from .words import CyclicWord, Word, rotation_witness, splice
@@ -48,6 +49,14 @@ from .words import CyclicWord, Word, rotation_witness, splice
 
 class DerivationError(RuntimeError):
     pass
+
+
+class MoveRejected(DerivationError):
+    """A move the derivation emitted that its checked replay rejected."""
+
+    def __init__(self, check: Check):
+        self.check = check
+        super().__init__(f"{check.name} rejected: {check.reason}")
 
 
 def _gen(name: str, sign: int = 1) -> Word:
@@ -251,19 +260,29 @@ class PipelineResult:
     trace: DerivationTrace
     presentation: Presentation
     longitude: Word  # the tracked longitude at the end of the trace
+    replay: Replay  # the checked pass that applied the moves, not yet finished
+
+
+def _apply_checked(replay: Replay, move) -> None:
+    if not replay.step(move):
+        raise MoveRejected(replay.report.first_failure())
 
 
 def run_pipeline(s: int) -> PipelineResult:
-    """Script the whole simplification; every move is applied as it is recorded."""
+    """Script the whole simplification; every move is applied, with all the
+    checks of replay_trace, as it is recorded.  Raises MoveRejected at the
+    first move that fails them."""
     check_s(s)
     start = wirtinger_presentation(s)
     lon_start = initial_longitude(s).word
+    replay = Replay(start, lon_start)
     p, lon = start, lon_start
     moves: list = []
 
     def do(move):
         nonlocal p, lon
-        p, lon = apply_move(p, move, lon)
+        _apply_checked(replay, move)
+        p, lon = replay.presentation, replay.longitude
         moves.append(move)
 
     def rewrite_longitude(old: Word, new: Word, via: str, macro: str):
@@ -339,7 +358,7 @@ def run_pipeline(s: int) -> PipelineResult:
 
     p = p.replace(provenance=f"pipeline s={s}")
     trace = DerivationTrace(start, tuple(moves), p, lon_start, lon)
-    return PipelineResult(s, trace, p, lon)
+    return PipelineResult(s, trace, p, lon, replay)
 
 
 # -- longitude simplification -------------------------------------------------
@@ -373,8 +392,7 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
     moves = []
     current = l12
     for target in words:
-        diff = ~target * current
-        if rotation_witness(diff, core) is None:
+        if rotation_witness(splice(~target, current), core) is None:
             raise DerivationError(f"chain step to {target} is not a relator consequence")
         moves.append(RewriteLongitude(target, "r_inf", macro="longitude_simplification"))
         current = target
@@ -391,3 +409,14 @@ def full_trace(result: PipelineResult) -> DerivationTrace:
                            result.presentation,
                            result.trace.longitude_start,
                            simplified.word)
+
+
+def derive(s: int) -> tuple[PipelineResult, DerivationTrace, Report]:
+    """The pipeline, its full trace and the report of its one checked pass:
+    the pipeline's replay stepped on through the longitude simplification
+    and finished.  Every move is applied once."""
+    result = run_pipeline(s)
+    trace = full_trace(result)
+    for move in trace.moves[len(result.trace.moves):]:
+        _apply_checked(result.replay, move)
+    return result, trace, result.replay.finish(trace.end, trace.longitude_end)

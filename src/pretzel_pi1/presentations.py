@@ -259,10 +259,12 @@ class RemoveGenerator:
     def solved(self, p: Presentation) -> Word:
         return _checked(self, lambda: solve_for(p.relator(self.via), self.gen))
 
-    def apply(self, p: Presentation) -> Presentation:
+    def apply(self, p: Presentation, replacement: Optional[Word] = None) -> Presentation:
+        """Eliminate gen; replacement, when given, is self.solved(p)."""
         if self.gen not in p.generators:
             raise SideConditionViolated(self, f"no generator {self.gen!r}")
-        replacement = self.solved(p)
+        if replacement is None:
+            replacement = self.solved(p)
         targets = p.labels_with(self.gen)
         relators = tuple((lab, w.substitute(self.gen, replacement) if lab in targets else w)
                          for lab, w in p.relators if lab != self.via)
@@ -487,9 +489,58 @@ def apply_move(p: Presentation, move: Move,
         return p, move.new_word
     if isinstance(move, RemoveGenerator) and longitude is not None:
         replacement = move.solved(p)
-        new_p = move.apply(p)
-        return new_p, longitude.substitute(move.gen, replacement)
+        return move.apply(p, replacement), longitude.substitute(move.gen, replacement)
     return move.apply(p), longitude
+
+
+class Replay:
+    """A trace replayed one move at a time: the current presentation and
+    longitude, the Report so far and, with check_abelian, the invariants."""
+
+    def __init__(self, start: Presentation, longitude: Optional[Word] = None,
+                 check_abelian: bool = False):
+        self.presentation = start
+        self.longitude = longitude
+        self.report = Report("trace replay")
+        self.check_abelian = check_abelian
+        self.invariants = start.abelian_invariants() if check_abelian else None
+
+    def step(self, move: Move) -> bool:
+        """Apply and check the next move; False once a move fails, after which
+        the replay must not be stepped on."""
+        # every move stepped so far passed, and each added one check
+        report, p, i = self.report, self.presentation, len(self.report.checks)
+        name = f"move {i} {type(move).__name__}" + (f" [{move.macro}]" if move.macro else "")
+        try:
+            self.presentation, self.longitude = apply_move(p, move, self.longitude)
+        except (SideConditionViolated, PresentationError, KeyError) as exc:
+            report.add(name, False, str(exc), i)
+            report.detail = f"move {i} failed"
+            return False
+        if self.longitude is not None and \
+                self.longitude.generators() - set(self.presentation.generators):
+            report.add(name, False, "longitude uses a generator absent from the presentation", i)
+            report.detail = f"move {i} broke the longitude"
+            return False
+        # a move that returns the same presentation keeps its invariants
+        now = self.invariants
+        if self.check_abelian and self.presentation is not p:
+            now = self.presentation.abelian_invariants()
+        if not report.add(name, now == self.invariants,
+                          f"abelian invariants changed {self.invariants} -> {now}", i):
+            report.detail = f"move {i} changed the abelianization"
+            return False
+        return True
+
+    def finish(self, end: Presentation, longitude_end: Optional[Word]) -> Report:
+        """Check the end presentation and, if given, the end longitude."""
+        report = self.report
+        if not report.add("end presentation", self.presentation == end, "does not match"):
+            report.detail = "end presentation does not match"
+        if longitude_end is not None and not report.add(
+                "end longitude", self.longitude == longitude_end, "does not match"):
+            report.detail = "end longitude does not match"
+        return report
 
 
 def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
@@ -498,35 +549,10 @@ def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
     There is one check per move replayed, up to the first that fails, then
     one for the end presentation and one for the end longitude, if tracked.
     """
-    report = Report("trace replay")
-    p = trace.start
-    longitude = trace.longitude_start
-    invariants = p.abelian_invariants() if check_abelian else None
-    for i, move in enumerate(trace.moves):
-        name = f"move {i} {type(move).__name__}" + (f" [{move.macro}]" if move.macro else "")
-        before = p
-        try:
-            p, longitude = apply_move(p, move, longitude)
-        except (SideConditionViolated, PresentationError, KeyError) as exc:
-            report.add(name, False, str(exc), i)
-            report.detail = f"move {i} failed"
-            return report
-        if longitude is not None and longitude.generators() - set(p.generators):
-            report.add(name, False, "longitude uses a generator absent from the presentation", i)
-            report.detail = f"move {i} broke the longitude"
-            return report
-        # a move that returns the same presentation keeps its invariants
-        now = p.abelian_invariants() if check_abelian and p is not before else invariants
-        if not report.add(name, now == invariants,
-                          f"abelian invariants changed {invariants} -> {now}", i):
-            report.detail = f"move {i} changed the abelianization"
-            return report
-    if not report.add("end presentation", p == trace.end, "does not match"):
-        report.detail = "end presentation does not match"
-    if trace.longitude_end is not None and not report.add(
-            "end longitude", longitude == trace.longitude_end, "does not match"):
-        report.detail = "end longitude does not match"
-    return report
+    replay = Replay(trace.start, trace.longitude_start, check_abelian)
+    if all(replay.step(move) for move in trace.moves):
+        replay.finish(trace.end, trace.longitude_end)
+    return replay.report
 
 
 # -- JSON serialization -----------------------------------------------------

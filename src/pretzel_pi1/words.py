@@ -18,6 +18,7 @@ The empty word prints as ``1`` in both forms.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable, Iterator, Optional
 
@@ -332,7 +333,10 @@ def palindrome_rotation(cyclic: CyclicWord) -> Optional[int]:
 
 # -- parsing -------------------------------------------------------------
 
-def _parse_token(token: str) -> list[Letter]:
+@functools.lru_cache(maxsize=4096)
+def _token(token: str) -> tuple[str, int, int]:
+    """The (name, sign, count) a token stands for.  Memoized: trace text
+    repeats a few hundred tokens; a malformed token raises on every call."""
     m = _TOKEN_RE.match(token)
     if m is None:
         raise WordError(f"bad word token: {token!r}")
@@ -349,8 +353,12 @@ def _parse_token(token: str) -> list[Letter]:
             raise WordError(f"zero exponent in token: {token!r}")
         if upper and exp > 0:
             raise WordError(f"ambiguous token {token!r}: uppercase with positive exponent")
-    sign = 1 if exp > 0 else -1
-    return [(base, sign)] * abs(exp)
+    return base, 1 if exp > 0 else -1, abs(exp)
+
+
+def _parse_token(token: str) -> list[Letter]:
+    name, sign, count = _token(token)
+    return [(name, sign)] * count
 
 
 def parse_compact(text: str) -> Word:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pretzel_pi1 import __version__
+from pretzel_pi1 import __version__, cli, derivation
 from pretzel_pi1.derivation import full_trace, run_pipeline
 from pretzel_pi1.presentations import trace_to_json
 
@@ -111,6 +112,24 @@ def _corrupt_longitude(data):
 
 def _corrupt_added_generator(data):
     data["moves"][0]["gen"] = "A"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_derive_exits_one_when_a_pipeline_move_is_rejected(monkeypatch, capsys, fmt):
+    """A move the pipeline emits that its replay rejects is a located failure:
+    exit 1, the move's index and reason on stderr, nothing on stdout."""
+    tunnel_moves = derivation.tunnel_moves
+
+    def bad_tunnel_moves(s):
+        *kept, last = tunnel_moves(s)
+        return (*kept, dataclasses.replace(last, label="nope"))
+
+    monkeypatch.setattr(derivation, "tunnel_moves", bad_tunnel_moves)
+    assert cli.main(["derive", "--s", "3", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: move 2 RewriteRelator [tunnel] rejected: "
+                   "RewriteRelator: \"no relator labeled 'nope'\"\n")
 
 
 @pytest.mark.parametrize("corrupt,code,failure", [

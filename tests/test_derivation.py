@@ -1,9 +1,14 @@
+import dataclasses
+
 import pytest
 
+from pretzel_pi1 import derivation
 from pretzel_pi1.derivation import (
     DerivationError,
+    MoveRejected,
     closed_form_L_fragments,
     closed_form_R,
+    derive,
     descending_product,
     expected_l12,
     final_relator,
@@ -16,7 +21,15 @@ from pretzel_pi1.derivation import (
     verify_R_induction,
     _fragments,
 )
-from pretzel_pi1.presentations import apply_move, replay_trace, trace_from_json, trace_to_json
+from pretzel_pi1.presentations import (
+    AddGenerator,
+    Replay,
+    RewriteLongitude,
+    apply_move,
+    replay_trace,
+    trace_from_json,
+    trace_to_json,
+)
 from pretzel_pi1.words import CyclicWord, Word, W, palindrome_rotation
 
 
@@ -255,3 +268,50 @@ def test_longitude_simplification_and_homology(s):
 @pytest.mark.parametrize("s", [3, 6])
 def test_full_trace_replays(s):
     assert replay_trace(full_trace(run_pipeline(s))).ok
+
+
+# -- derive's one checked pass ---------------------------------------------------
+
+@pytest.mark.parametrize("s", [*range(3, 13), 34])
+def test_derive_reports_what_a_second_replay_reports(s):
+    """derive applies each move once; its report is the one a separate replay
+    of the same trace gives, check for check."""
+    result, trace, report = derive(s)
+    assert trace == full_trace(run_pipeline(s))
+    again = replay_trace(trace)
+    assert report.ok and report.checks == again.checks and report.detail == again.detail
+    assert len(report.checks) == len(trace.moves) + 2
+    assert result.presentation == trace.end
+
+
+def _corrupted(move):
+    """The move with one field changed so that its side condition fails."""
+    if isinstance(move, AddGenerator):
+        return dataclasses.replace(move, gen="c")  # c is never eliminated
+    if isinstance(move, RewriteLongitude):
+        return dataclasses.replace(move, new_word=move.new_word * W("c"))
+    name = next(f.name for f in dataclasses.fields(move)
+                if f.name in ("via", "justified_by", "label", "old"))
+    return dataclasses.replace(move, **{name: "nope"})
+
+
+def test_a_corrupted_move_fails_alike_in_derive_and_in_replay(monkeypatch):
+    """Corrupt each move of the s=3 derivation in turn.  Stepping the trace
+    through Replay, replaying it with replay_trace and deriving with the move
+    corrupted as it is stepped all stop at that move with the same check."""
+    trace = full_trace(run_pipeline(3))
+    for k, move in enumerate(trace.moves):
+        moves = trace.moves[:k] + (_corrupted(move),) + trace.moves[k + 1:]
+        replayed = replay_trace(dataclasses.replace(trace, moves=moves)).first_failure()
+        stepper = Replay(trace.start, trace.longitude_start)
+        assert not all(stepper.step(m) for m in moves)
+        assert stepper.report.first_failure() == replayed and replayed.index == k
+
+        class CorruptingReplay(Replay):
+            def step(self, m):
+                return super().step(_corrupted(m) if len(self.report.checks) == k else m)
+
+        monkeypatch.setattr(derivation, "Replay", CorruptingReplay)
+        with pytest.raises(MoveRejected) as rejected:
+            derive(3)
+        assert rejected.value.check == replayed, k

@@ -361,6 +361,24 @@ def test_replay_touches_only_what_each_move_names(monkeypatch):
     assert any(isinstance(m, RemoveGenerator) for m in trace.moves)
 
 
+def test_remove_generator_solves_its_relator_once(monkeypatch):
+    """Replaying the s=100 trace, which tracks a longitude, solves each
+    RemoveGenerator's relator once, for the presentation and the longitude
+    alike, and each SubstituteEverywhere's justifying relator once."""
+    trace = full_trace(run_pipeline(100))
+    kinds = [type(m) for m in trace.moves]
+    solves = []
+
+    def counting_solve_for(word, gen):
+        solves.append(gen)
+        return solve_for(word, gen)
+
+    monkeypatch.setattr(presentations, "solve_for", counting_solve_for)
+    assert replay_trace(trace).ok
+    assert kinds.count(RemoveGenerator) == 208
+    assert len(solves) == 208 + kinds.count(SubstituteEverywhere)
+
+
 def test_carried_generator_sets_match_a_fresh_index():
     """After every move of the s=3..12 traces, the generator sets a presentation
     carries over from its parent are those the public constructor finds."""

@@ -8,6 +8,7 @@ from pretzel_pi1.words import (
     W,
     WordError,
     _reduce_letters,
+    _token,
     palindrome_rotation,
     parse_compact,
     parse_word,
@@ -186,6 +187,59 @@ def test_auto_detection_prefers_the_token_reading():
     assert parse_word("ab", compact=True) == W("a b")
     # any uppercase or exponent disambiguates on its own
     assert parse_word("aB") == Word((("a", 1), ("b", -1)))
+
+
+# -- the token memo -------------------------------------------------------------
+
+# well-formed tokens over a few names, and strings that are not tokens
+tokens = st.one_of(
+    st.builds(lambda name, exp: name if exp is None else f"{name}^{exp}",
+              st.sampled_from(["a", "A", "b", "B", "f12", "F12"]),
+              st.one_of(st.none(), st.integers(-4, 4))),
+    st.text(alphabet="aB1^-0x9", min_size=1, max_size=4))
+
+
+def parse_unmemoized(text):
+    """The tokenized grammar token by token, without the memo."""
+    if text == "1":
+        return Word()
+    letters = []
+    for token in text.split():
+        name, sign, count = _token.__wrapped__(token)
+        letters += [(name, sign)] * count
+    return Word(letters)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except WordError as exc:
+        return str(exc)
+
+
+@given(st.lists(tokens, min_size=1, max_size=8))
+def test_parse_word_matches_the_unmemoized_parser(parts):
+    text = " ".join(parts)
+    expected = outcome(parse_unmemoized, text)
+    assert outcome(lambda t: parse_word(t, compact=False), text) == expected
+    if len(parts) > 1:
+        assert outcome(parse_word, text) == expected
+
+
+def test_a_malformed_token_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(WordError, match="zero exponent"):
+            parse_word("a c^0")
+        with pytest.raises(WordError, match="ambiguous"):
+            parse_word("L^2")
+
+
+def test_the_token_memo_holds_counts_not_letters():
+    assert len(parse_word("c^1000000")) == 1000000
+    hits = _token.cache_info().hits
+    assert _token("c^1000000") == ("c", 1, 1000000)
+    assert _token.cache_info().hits == hits + 1
+    assert _token("C^-7") == ("c", -1, 7) and _token("F12") == ("f12", -1, 1)
 
 
 @given(words)
