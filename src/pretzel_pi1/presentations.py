@@ -147,12 +147,13 @@ class Presentation:
         rows = []
         for word in [w for _, w in self.relators] + list(words):
             row: smith.Row = {}
-            for (name, sign), count in Counter(word.letters).items():
+            for name, e in _exponent_sums(word).items():
                 j = index.get(name)
                 if j is None:
                     raise PresentationError(f"word uses undeclared generator {name!r}")
-                row[j] = row.get(j, 0) + sign * count
-            rows.append({j: e for j, e in row.items() if e})
+                if e:
+                    row[j] = e
+            rows.append(row)
         return rows
 
     def abelian_invariants(self) -> tuple[int, ...]:
@@ -197,6 +198,14 @@ class Presentation:
         if not saw_gens:
             raise PresentationError("missing 'gens:' line")
         return Presentation(generators, tuple(relators))
+
+
+def _exponent_sums(word: Word) -> dict[str, int]:
+    """{generator name: exponent sum} over the generators word uses, zeros kept."""
+    sums: dict[str, int] = {}
+    for (name, sign), count in Counter(word.letters).items():
+        sums[name] = sums.get(name, 0) + sign * count
+    return sums
 
 
 def solve_for(word: Word, gen: str) -> Word:
@@ -493,9 +502,128 @@ def apply_move(p: Presentation, move: Move,
     return move.apply(p), longitude
 
 
+# -- the abelian shadow of a move ------------------------------------------------
+#
+# Rows here are keyed by generator name, {name: nonzero exponent sum}, so a
+# row keeps its meaning when a move adds or removes a generator.
+
+def _row(word: Word) -> dict[str, int]:
+    return {name: e for name, e in _exponent_sums(word).items() if e}
+
+
+def _rows(p: Presentation) -> dict[str, dict[str, int]]:
+    return {label: _row(word) for label, word in p.relators}
+
+
+def _plus(row: dict[str, int], other: dict[str, int], k: int) -> dict[str, int]:
+    """row + k * other, zeros left out."""
+    out = dict(row)
+    for name, e in other.items():
+        total = out.get(name, 0) + k * e
+        if total:
+            out[name] = total
+        else:
+            out.pop(name, None)
+    return out
+
+
+def _abelian_shadow(move: Move, p: Presentation, q: Presentation,
+                    rows: dict[str, dict[str, int]]) -> Optional[dict[str, dict[str, int]]]:
+    """The exponent rows of q by label, if they are rows (the rows of p)
+    moved by the abelian shadow of move; else None.  Each shadow changes the
+    relation matrix without changing H1: it adds to a row a multiple of
+    another row that stays, eliminates a generator with a +-1 pivot, adds a
+    generator with a +-1 in its one row, drops an empty or a duplicate row,
+    or negates, keeps or relabels a row.  Only the rows of relators that q
+    holds as a new word object are computed.  None also covers a missing
+    label, a non-unit pivot and an unexpected generator list."""
+    gens, dropped, added = set(p.generators), set(), set()
+
+    def keeps(label: str, old: dict[str, int], new: dict[str, int]) -> bool:
+        return new == old
+
+    if isinstance(move, (RemoveGenerator, SubstituteEverywhere)):
+        g = move.gen
+        via = move.via if isinstance(move, RemoveGenerator) else move.justified_by
+        pivot = rows.get(via, {})
+        sigma = pivot.get(g)
+        if sigma not in (1, -1):
+            return None
+        removes = isinstance(move, RemoveGenerator)
+        if removes:
+            gens, dropped = gens - {g}, {via}
+
+        def keeps(label, old, new):
+            if new is old:  # a relator the move left alone
+                return g not in old or not removes
+            if g not in old or label == via:
+                return new == old
+            return new == _plus(old, pivot, -old[g] * sigma)
+    elif isinstance(move, AddGenerator):
+        if move.gen in gens or move.label in rows:
+            return None
+        gens, added = gens | {move.gen}, {move.label}
+
+        def keeps(label, old, new):
+            return new.get(move.gen) in (1, -1) if label == move.label else new == old
+    elif isinstance(move, (AddRelator, RewriteRelator)):
+        if isinstance(move, AddRelator):
+            steps, row, added = move.derivation, {}, {move.label}
+            if move.label in rows:
+                return None
+        else:
+            steps, row = move.steps, rows.get(move.label)
+            if row is None:
+                return None
+        for step in steps:
+            cited = rows.get(step.relator)
+            if cited is None or step.relator == move.label:
+                return None
+            row = _plus(row, cited, -1 if step.inverted else 1)
+
+        def keeps(label, old, new):
+            return new == (row if label == move.label else old)
+    elif isinstance(move, RemoveRelator):
+        row = rows.get(move.label)
+        if row is None or row and (move.duplicate_of == move.label
+                                   or rows.get(move.duplicate_of) != row):
+            return None
+        dropped = {move.label}
+    elif isinstance(move, InvertRelator):
+        if move.label not in rows:
+            return None
+
+        def keeps(label, old, new):
+            return new == ({name: -e for name, e in old.items()} if label == move.label else old)
+    elif isinstance(move, RelabelRelator):
+        if move.old not in rows or move.new in rows:
+            return None
+        dropped, added = {move.old}, {move.new}
+
+        def keeps(label, old, new):
+            return new == (rows[move.old] if label == move.new else old)
+    elif not (isinstance(move, RotateRelator) and move.label in rows):
+        return None
+    if len(q.generators) != len(gens) or set(q.generators) != gens:
+        return None
+    moved = {}
+    for label, word in q.relators:
+        old = rows.get(label)
+        if old is None and label not in added:
+            return None
+        new = old if old is not None and p._words.get(label) is word else _row(word)
+        if not keeps(label, old, new):
+            return None
+        moved[label] = new
+    if moved.keys() != (rows.keys() - dropped) | added:
+        return None
+    return moved
+
+
 class Replay:
     """A trace replayed one move at a time: the current presentation and
-    longitude, the Report so far and, with check_abelian, the invariants."""
+    longitude, the Report so far and, with check_abelian, the invariants
+    and the exponent rows by label."""
 
     def __init__(self, start: Presentation, longitude: Optional[Word] = None,
                  check_abelian: bool = False):
@@ -504,6 +632,7 @@ class Replay:
         self.report = Report("trace replay")
         self.check_abelian = check_abelian
         self.invariants = start.abelian_invariants() if check_abelian else None
+        self.rows = _rows(start) if check_abelian else None
 
     def step(self, move: Move) -> bool:
         """Apply and check the next move; False once a move fails, after which
@@ -522,10 +651,14 @@ class Replay:
             report.add(name, False, "longitude uses a generator absent from the presentation", i)
             report.detail = f"move {i} broke the longitude"
             return False
-        # a move that returns the same presentation keeps its invariants
+        # a move that returns the same presentation, or whose rows match its
+        # abelian shadow, keeps the invariants; any other is checked afresh
         now = self.invariants
         if self.check_abelian and self.presentation is not p:
-            now = self.presentation.abelian_invariants()
+            self.rows = _abelian_shadow(move, p, self.presentation, self.rows)
+            if self.rows is None:
+                now = self.presentation.abelian_invariants()
+                self.rows = _rows(self.presentation)
         if not report.add(name, now == self.invariants,
                           f"abelian invariants changed {self.invariants} -> {now}", i):
             report.detail = f"move {i} changed the abelianization"

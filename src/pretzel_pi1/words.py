@@ -90,13 +90,10 @@ class Word:
 
     @staticmethod
     def from_syllables(syllables: Iterable[tuple[str, int]]) -> "Word":
-        letters: list[Letter] = []
-        for name, exp in syllables:
-            if exp == 0:
-                continue
-            sign = 1 if exp > 0 else -1
-            letters.extend((name, sign) for _ in range(abs(exp)))
-        return Word(letters)
+        """The product of the runs name^exp; each run is reduced, so they are
+        spliced, reduced only at the seams."""
+        return Word._reduced(_splice_letters(((name, 1 if exp > 0 else -1),) * abs(exp)
+                                             for name, exp in syllables))
 
     # -- basic protocol ----------------------------------------------
 
@@ -356,24 +353,25 @@ def _token(token: str) -> tuple[str, int, int]:
     return base, 1 if exp > 0 else -1, abs(exp)
 
 
-def _parse_token(token: str) -> list[Letter]:
+def _parse_token(token: str) -> tuple[Letter, ...]:
+    """The run of equal letters a token stands for, a reduced letter tuple."""
     name, sign, count = _token(token)
-    return [(name, sign)] * count
+    return ((name, sign),) * count
 
 
 def parse_compact(text: str) -> Word:
     """Parse the compact single-letter form."""
     if text == "1":
         return Word()
-    letters: list[Letter] = []
+    runs: list[tuple[Letter, ...]] = []
     pos = 0
     while pos < len(text):
         m = _COMPACT_RE.match(text, pos)
         if m is None:
             raise WordError(f"bad compact word at offset {pos}: {text!r}")
-        letters.extend(_parse_token(m.group(0)))
+        runs.append(_parse_token(m.group(0)))
         pos = m.end()
-    return Word(letters)
+    return Word._reduced(_splice_letters(runs))
 
 
 def parse_word(text: str, compact: Optional[bool] = None) -> Word:
@@ -393,12 +391,9 @@ def parse_word(text: str, compact: Optional[bool] = None) -> Word:
     if compact is True:
         return parse_compact(text)
     if any(ch.isspace() for ch in text):
-        letters: list[Letter] = []
-        for token in text.split():
-            letters.extend(_parse_token(token))
-        return Word(letters)
+        return Word._reduced(_splice_letters(map(_parse_token, text.split())))
     if compact is False or _TOKEN_RE.match(text):
-        return Word(_parse_token(text))
+        return Word._reduced(_parse_token(text))
     return parse_compact(text)
 
 

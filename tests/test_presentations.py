@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pretzel_pi1 import presentations, smith
 from pretzel_pi1.derivation import full_trace, run_pipeline
 from pretzel_pi1.presentations import (
+    MOVE_KINDS,
     AddGenerator,
     AddRelator,
     DerivationTrace,
@@ -19,11 +20,15 @@ from pretzel_pi1.presentations import (
     RelabelRelator,
     RemoveGenerator,
     RemoveRelator,
+    Replay,
+    Report,
+    RewriteLongitude,
     RewriteRelator,
     RotateRelator,
     SideConditionViolated,
     SubstituteEverywhere,
     apply_move,
+    move_from_json,
     replay_trace,
     solve_for,
     trace_from_json,
@@ -501,3 +506,205 @@ def test_relator_count_deltas():
         before = len(p.relators)
         p = mv.apply(p)
         assert len(p.relators) == before + RELATOR_DELTAS[type(mv)]
+
+
+# -- the abelian shadow of each move, against other oracles ---------------------
+
+def rows_by_name(p):
+    """The exponent rows of p by label and generator name, from exponent_rows."""
+    return {label: {p.generators[j]: e for j, e in row.items()}
+            for (label, _), row in zip(p.relators, p.exponent_rows())}
+
+
+def no_shadow(*args):
+    return None
+
+
+def test_carried_rows_match_fresh_exponent_rows(monkeypatch):
+    """After every move of the knot traces the rows a check_abelian replay
+    carries are the exponent rows of its presentation, and H1 is computed
+    once, for the start: no move falls back."""
+    computed = []
+    invariants = Presentation.abelian_invariants
+    monkeypatch.setattr(Presentation, "abelian_invariants",
+                        lambda self: computed.append(self) or invariants(self))
+    for s in [*range(3, 13), 34]:
+        trace = full_trace(run_pipeline(s))
+        computed.clear()
+        replay = Replay(trace.start, trace.longitude_start, check_abelian=True)
+        for move in trace.moves:
+            assert replay.step(move), (s, move)
+            assert replay.rows == rows_by_name(replay.presentation), (s, move)
+        assert replay.finish(trace.end, trace.longitude_end).ok
+        assert computed == [trace.start], s
+
+
+def _field_mutants(value, labels):
+    """Values that each change one field of a move's JSON."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if isinstance(value, str):
+        return [*labels, value + " c", "1"]
+    if isinstance(value, list):
+        return [value[:-1], value + value[-1:]] if value else [labels[:1]]
+    return [labels[0], labels[:1]]  # None, an optional field left unset
+
+
+def _move_mutants(trace):
+    """(i, move) for every decodable move that differs from move i of trace
+    in one field of its JSON, an insertion's fields included, or in its kind."""
+    labels = ["r1", "r_inf", "nope"]
+    for i, move in enumerate(trace_to_json(trace)["moves"]):
+        places = [(move, key) for key in move]
+        for step in move.get("steps", []) + move.get("derivation", []):
+            places += [(step, key) for key in step]
+        for holder, key in places:
+            options = [kind for kind in MOVE_KINDS if kind != holder[key]] if key == "kind" \
+                else _field_mutants(holder[key], labels)
+            for value in options:
+                old = holder[key]
+                holder[key] = value
+                try:
+                    yield i, move_from_json(copy.deepcopy(move))
+                except (KeyError, PresentationError, TypeError, ValueError):
+                    pass
+                holder[key] = old
+
+
+def _replayed_from(replay, moves, trace):
+    """replay_trace's loop over moves, from a copy of a replay that has
+    stepped the moves before them."""
+    twin = copy.copy(replay)
+    twin.report = Report(replay.report.label, list(replay.report.checks))
+    if all(twin.step(move) for move in moves):
+        twin.finish(trace.end, trace.longitude_end)
+    return twin.report
+
+
+def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
+    """Replaying with H1 recomputed after every move, as when no move has a
+    shadow, gives the same Report, check for check, as the shadow path, on
+    every trace that differs from the s=3 or s=5 trace in one move field."""
+    mutants = 0
+    for s in (3, 5):
+        trace = full_trace(run_pipeline(s))
+        shadowed, forced = (Replay(trace.start, trace.longitude_start, check_abelian=True)
+                            for _ in range(2))
+        stepped = 0
+        for i, mutant in _move_mutants(trace):
+            for move in trace.moves[stepped:i]:
+                assert shadowed.step(move)
+                with monkeypatch.context() as patch:
+                    patch.setattr(presentations, "_abelian_shadow", no_shadow)
+                    assert forced.step(move)
+            stepped = i
+            moves = (mutant,) + trace.moves[i + 1:]
+            with_shadow = _replayed_from(shadowed, moves, trace)
+            with monkeypatch.context() as patch:
+                patch.setattr(presentations, "_abelian_shadow", no_shadow)
+                fresh = _replayed_from(forced, moves, trace)
+            assert (with_shadow.checks, with_shadow.detail) == (fresh.checks, fresh.detail), \
+                (s, i, mutant)
+            mutants += 1
+    assert mutants > 1000
+
+
+def test_forced_fallback_and_shadow_soundness_on_random_moves(monkeypatch):
+    """On the random move sequences of the acceptance suite, forcing the
+    fallback gives the same Report.  And wherever a move's result is tampered
+    with (a relator times a letter, a relator or generator dropped), a shadow
+    that still matches claims only what the dense Smith normal form confirms."""
+    rng = random.Random(1729)
+    claims = 0
+    for _ in range(300):
+        start = p = random_presentation(rng)
+        moves = []
+        for counter in range(rng.randint(1, 8)):
+            move = random_move(rng, p, counter)
+            if move is None:
+                continue
+            try:
+                q = move.apply(p)
+            except SideConditionViolated:
+                continue
+            for tampered in _tampered(rng, q):
+                rows = presentations._abelian_shadow(move, p, tampered, rows_by_name(p))
+                if rows is not None:
+                    claims += 1
+                    assert rows == rows_by_name(tampered)
+                    assert tampered.abelian_invariants() == p.abelian_invariants()
+            moves.append(move)
+            p = q
+        trace = DerivationTrace(start, tuple(moves), p)
+        with_shadow = replay_trace(trace, check_abelian=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(presentations, "_abelian_shadow", no_shadow)
+            fresh = replay_trace(trace, check_abelian=True)
+        assert with_shadow.ok and with_shadow.checks == fresh.checks
+    assert claims > 0
+
+
+def _tampered(rng, q):
+    """q itself and presentations that differ from q in one place."""
+    out = [q]
+    if q.relators and q.generators:
+        label, word = rng.choice(q.relators)
+        out.append(q.with_relator(label, word * Word.generator(rng.choice(q.generators))))
+        out.append(Presentation(q.generators, tuple(r for r in q.relators if r[0] != label)))
+    if len(q.generators) > 1:
+        gone = q.generators[-1]
+        kept = tuple((lab, w) for lab, w in q.relators if gone not in w.generators())
+        out.append(Presentation(q.generators[:-1], kept))
+    out.append(Presentation(q.generators + ("y",), q.relators))
+    return out
+
+
+def test_the_shadow_is_total():
+    """A missing label, a non-unit pivot, a changed generator list or a row
+    dropped without cause gives no shadow, and nothing raises.  The first
+    three results below have the rows an unguarded shadow would predict,
+    and another H1."""
+    p = Presentation(("a", "b"), (("r1", W("a^2 b")), ("r2", W("b^3"))))  # H1 = Z/6
+    rows = rows_by_name(p)
+    rotated = RotateRelator("r1", 1).apply(p)
+    assert presentations._abelian_shadow(RotateRelator("r1", 1), p, rotated, rows) == rows
+    only_r2 = Presentation(("a", "b"), (("r2", W("b^3")),))
+    cases = [(RemoveGenerator("a", "r1"), Presentation(("b",), (("r2", W("b^3")),))),
+             (RemoveRelator("r1"), only_r2),
+             (RemoveRelator("r1", "r2"), only_r2),
+             (RemoveRelator("r1", "r1"), only_r2),
+             (RemoveGenerator("a", "r9"), p),
+             (RotateRelator("r9", 1), rotated),
+             (RotateRelator("r1", 1), Presentation(("a", "b", "z"), rotated.relators)),
+             (RotateRelator("r1", 1), Presentation(("a", "b"), rotated.relators[:1]))]
+    for move, q in cases[:3]:
+        assert q.abelian_invariants() != p.abelian_invariants()
+    for move in (AddRelator("r1", W("a"), ()), RewriteRelator("r9", ()),
+                 RewriteRelator("r1", (Insertion("r1", False, Word(), 0),)),
+                 RewriteRelator("r1", (Insertion("r9", False, Word(), 0),)),
+                 InvertRelator("r9"), RelabelRelator("r1", "r2"), RelabelRelator("r9", "r3"),
+                 AddGenerator("a", W("b"), "r3"), AddGenerator("z", W("b"), "r1"),
+                 SubstituteEverywhere("a", W("b"), "r9"), RewriteLongitude(W("a"), "r1")):
+        cases.append((move, p))
+    for move, q in cases:
+        assert presentations._abelian_shadow(move, p, q, rows) is None, move
+
+
+def test_a_move_that_changes_h1_fails_at_its_own_index(monkeypatch):
+    """Negative control: a RotateRelator that also multiplies its relator by
+    c is reported at its own index with the reason a full H1 gives."""
+    trace = full_trace(run_pipeline(3))
+    k = next(i for i, move in enumerate(trace.moves) if isinstance(move, RotateRelator))
+    rotate = RotateRelator.apply
+
+    def padded(self, p):
+        q = rotate(self, p)
+        return q.with_relator(self.label, q.relator(self.label) * W("c"))
+
+    monkeypatch.setattr(RotateRelator, "apply", padded)
+    report = replay_trace(trace, check_abelian=True)
+    failure = report.first_failure()
+    assert (failure.index, failure.reason) == (k, "abelian invariants changed (0,) -> ()")
+    assert report.detail == f"move {k} changed the abelianization"

@@ -348,3 +348,51 @@ def test_slices_keep_step_one():
         w[::2]
     with pytest.raises(TypeError):
         w[0]
+
+
+# -- runs spliced, against the letter reducer -----------------------------------
+
+syllables3 = st.lists(st.tuples(names3, st.integers(-3, 3)), max_size=10)
+
+
+def run_letters(syllables):
+    """The letters of the runs name^exp one by one, unreduced."""
+    return [(name, 1 if exp > 0 else -1) for name, exp in syllables for _ in range(abs(exp))]
+
+
+def tokenized(syllables):
+    return " ".join(name if exp == 1 else f"{name}^{exp}" for name, exp in syllables)
+
+
+def compact(syllables):
+    return "".join(name if exp == 1 else name.upper() if exp == -1 else f"{name}^{exp}"
+                   for name, exp in syllables)
+
+
+@given(syllables3)
+def test_from_syllables_matches_the_reducer(syllables):
+    assert Word.from_syllables(syllables).letters == _reduce_letters(run_letters(syllables))
+
+
+@given(syllables3.filter(bool))
+def test_parsers_match_the_reducer(syllables):
+    expected = _reduce_letters(run_letters(syllables))
+    parses = (lambda: parse_word(tokenized(syllables), compact=False),
+              lambda: parse_word(compact(syllables), compact=True),
+              lambda: parse_compact(compact(syllables)))
+    for parse in parses:
+        if any(exp == 0 for _, exp in syllables):
+            with pytest.raises(WordError, match="zero exponent"):
+                parse()
+        else:
+            assert parse().letters == expected
+
+
+def test_runs_cancel_across_their_seams():
+    s = 5
+    assert Word.from_syllables([("l", s), ("l", -1)]) == Word.from_syllables([("l", s - 1)])
+    assert Word.from_syllables([("c", 1), ("l", 2), ("c", 0), ("l", -2), ("c", -1)]) == Word()
+    assert Word.from_syllables([]) == Word() == Word.from_syllables([("c", 0)])
+    assert parse_word("c C") == Word() == parse_compact("cC")
+    assert parse_word("c^2 c^-3") == W("C") == parse_compact("c^2c^-3")
+    assert parse_word("a c l^2 L^-1 l^-1 C A") == Word()
