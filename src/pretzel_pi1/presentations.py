@@ -32,6 +32,12 @@ class SideConditionViolated(Exception):
         super().__init__(f"{type(move).__name__}: {reason}")
 
 
+def _require(move, ok: bool, reason: str) -> None:
+    """Raise reason as the move's side condition violation unless ok."""
+    if not ok:
+        raise SideConditionViolated(move, reason)
+
+
 def _checked(move, compute, *args):
     """compute(*args), with a failed relator lookup or solve raised as the move's
     side condition violation."""
@@ -41,13 +47,36 @@ def _checked(move, compute, *args):
         raise SideConditionViolated(move, str(exc)) from exc
 
 
+@dataclass
+class Delta:
+    """What a move changes: the words it sets by label (a new label goes last),
+    the labels it drops, a label it renames as (old, new), the new generator
+    list (None: unchanged) and the longitude after it, which is not compared."""
+    words: Optional[dict] = field(default_factory=dict)
+    dropped: tuple[str, ...] = ()
+    renamed: Optional[tuple[str, str]] = None
+    generators: Optional[tuple[str, ...]] = None
+    longitude: Optional[Word] = field(default=None, compare=False)
+
+    def apply_to(self, table: dict, values: dict) -> dict:
+        """A copy of table, a dict by relator label in relator order, with the
+        labels this delta renames and drops renamed and dropped and values set."""
+        old, new = self.renamed or (None, None)
+        out = dict(table) if old is None else {new if label == old else label: value
+                                               for label, value in table.items()}
+        for label in self.dropped:
+            out.pop(label, None)
+        out.update(values)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Presentation:
     """A presentation; the constructor checks every generator and relator.
 
-    Alongside the fields it keeps, by label, each relator's word and its
-    generator set.  A move builds its result with `_moved`, which checks
-    only the relators that are new or rewritten and carries the rest over.
+    Alongside the fields it keeps, by label in relator order, each relator's
+    word and its generator set.  A move builds its result with `moved`,
+    which checks only what the move's Delta names and carries the rest over.
     """
     generators: tuple[str, ...]
     relators: tuple[tuple[str, Word], ...]
@@ -63,43 +92,59 @@ class Presentation:
             if g in seen:
                 raise PresentationError(f"duplicate generator: {g!r}")
             seen.add(g)
-        self._index(None)
-
-    def _index(self, parent: Optional["Presentation"]) -> None:
-        """Index the relators by label.  A relator that parent holds as the
-        same word object under the same label keeps its generator set;
-        every other relator is checked."""
-        declared = set(self.generators)
         words: dict[str, Word] = {}
         uses: dict[str, set[str]] = {}
         for label, word in self.relators:
-            if parent is not None and parent._words.get(label) is word:
-                used = parent._uses[label]
-            else:
-                if not label or any(ch.isspace() for ch in label) or ":" in label:
-                    raise PresentationError(f"bad relator label: {label!r}")
-                used = word.generators()
-            if label in words:
+            if self._new_label(label) in words:
                 raise PresentationError(f"duplicate relator label: {label!r}")
-            undeclared = used - declared
-            if undeclared:
-                raise PresentationError(
-                    f"relator {label} uses undeclared generators {sorted(undeclared)}")
+            uses[label] = self._declared(label, word.generators(), seen)
             words[label] = word
-            uses[label] = used
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_uses", uses)
 
-    def _moved(self, relators: tuple[tuple[str, Word], ...],
-               generators: Optional[tuple[str, ...]] = None) -> "Presentation":
-        """The presentation a move makes of this one.  Generators a move adds
-        are checked by the move itself."""
+    @staticmethod
+    def _new_label(label: str) -> str:
+        if not label or any(ch.isspace() for ch in label) or ":" in label:
+            raise PresentationError(f"bad relator label: {label!r}")
+        return label
+
+    @staticmethod
+    def _declared(label: str, used: set[str], declared: set[str]) -> set[str]:
+        """used, the generators of relator label, once checked to be declared."""
+        undeclared = used - declared
+        if undeclared:
+            raise PresentationError(
+                f"relator {label} uses undeclared generators {sorted(undeclared)}")
+        return used
+
+    def moved(self, delta: Delta) -> "Presentation":
+        """The presentation delta makes of this one, or this one itself when
+        delta changes only the longitude.  Only what delta names is checked:
+        the words it sets, the label it renames to, and that no relator it
+        keeps uses a generator it removes.  A move checks the generators it
+        adds itself."""
+        if not (delta.words or delta.dropped or delta.renamed or delta.generators is not None):
+            return self
+        generators = self.generators if delta.generators is None else delta.generators
+        declared = set(generators)
+        if delta.renamed is not None and self._new_label(delta.renamed[1]) in self._words:
+            raise PresentationError(f"duplicate relator label: {delta.renamed[1]!r}")
+        uses = delta.apply_to(self._uses, {
+            label: self._declared(label if label in self._words else self._new_label(label),
+                                  word.generators(), declared)
+            for label, word in delta.words.items()})
+        if delta.generators is not None:
+            removed = set(self.generators) - declared
+            for label, used in uses.items():
+                if not removed.isdisjoint(used):
+                    self._declared(label, used, declared)
+        words = delta.apply_to(self._words, delta.words)
         new = object.__new__(Presentation)
-        object.__setattr__(new, "generators",
-                           self.generators if generators is None else generators)
-        object.__setattr__(new, "relators", relators)
+        object.__setattr__(new, "generators", generators)
+        object.__setattr__(new, "relators", tuple(words.items()))
         object.__setattr__(new, "provenance", self.provenance)
-        new._index(self)
+        object.__setattr__(new, "_words", words)
+        object.__setattr__(new, "_uses", uses)
         return new
 
     # equality ignores relator order but not generator order
@@ -132,11 +177,6 @@ class Presentation:
                 "provenance": self.provenance}
         data.update(changes)
         return Presentation(**data)
-
-    def with_relator(self, label: str, word: Word) -> "Presentation":
-        """The word under label replaced, every other relator kept in place."""
-        return self._moved(tuple((lab, word if lab == label else w)
-                                 for lab, w in self.relators))
 
     # -- abelianization ----------------------------------------------
 
@@ -220,6 +260,27 @@ def solve_for(word: Word, gen: str) -> Word:
 
 
 # -- moves ----------------------------------------------------------------
+#
+# Exponent rows here are keyed by generator name, {name: nonzero exponent sum},
+# so a row keeps its meaning when a move adds or removes a generator.
+
+def _row(word: Word) -> dict[str, int]:
+    return {name: e for name, e in _exponent_sums(word).items() if e}
+
+
+def _rows(p: Presentation) -> dict[str, dict[str, int]]:
+    return {label: _row(word) for label, word in p.relators}
+
+
+def _plus(row: Optional[dict], other: Optional[dict], k: int) -> Optional[dict]:
+    """row + k * other, zeros left out; None if either is None."""
+    if row is None or other is None:
+        return None
+    out = dict(row)
+    for name, e in other.items():
+        out[name] = out.get(name, 0) + k * e
+    return {name: e for name, e in out.items() if e}
+
 
 @dataclass(frozen=True)
 class Insertion:
@@ -239,49 +300,64 @@ class Insertion:
                       word[self.position:])
 
 
+class Move:
+    """A Tietze move.  delta(p, longitude) checks the move's side condition
+    and returns the Delta it makes.  shadow(p, rows) is that Delta in exponent
+    rows, read off rows, those of p by label; a row or words of None match
+    nothing.  No shadow changes H1: it adds to a row a multiple of another
+    row that stays, eliminates a generator with a +-1 pivot, adds one with a
+    +-1 in its one row, drops an empty or a duplicate row, or negates, keeps
+    or relabels a row."""
+
+    def apply(self, p: Presentation) -> Presentation:
+        return p.moved(self.delta(p, None))
+
+
 @dataclass(frozen=True)
-class AddGenerator:
+class AddGenerator(Move):
     gen: str
     definition: Word
     label: str
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        if not is_generator_name(self.gen):
-            raise SideConditionViolated(self, f"bad generator name {self.gen!r}")
-        if self.gen in p.generators:
-            raise SideConditionViolated(self, f"generator {self.gen!r} already present")
-        if p.has_relator(self.label):
-            raise SideConditionViolated(self, f"label {self.label!r} already present")
-        if self.definition.generators() - set(p.generators):
-            raise SideConditionViolated(self, "definition uses undeclared generators")
-        relator = Word.generator(self.gen) * ~self.definition
-        return p._moved(p.relators + ((self.label, relator),), p.generators + (self.gen,))
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        _require(self, is_generator_name(self.gen), f"bad generator name {self.gen!r}")
+        _require(self, self.gen not in p.generators, f"generator {self.gen!r} already present")
+        _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
+        _require(self, self.definition.generators() <= set(p.generators),
+                 "definition uses undeclared generators")
+        return Delta({self.label: Word.generator(self.gen) * ~self.definition},
+                     generators=p.generators + (self.gen,), longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        row = _plus({self.gen: 1}, _row(self.definition), -1)
+        fresh = self.gen not in p.generators and self.label not in rows
+        return Delta({self.label: row if fresh and row.get(self.gen) in (1, -1) else None},
+                     generators=p.generators + (self.gen,))
 
 
 @dataclass(frozen=True)
-class RemoveGenerator:
+class RemoveGenerator(Move):
     gen: str
     via: str
     macro: Optional[str] = None
 
-    def solved(self, p: Presentation) -> Word:
-        return _checked(self, lambda: solve_for(p.relator(self.via), self.gen))
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        replacement = _checked(self, lambda: solve_for(p.relator(self.via), self.gen))
+        targets = p.labels_with(self.gen) - {self.via}
+        return Delta({label: word.substitute(self.gen, replacement)
+                      for label, word in p.relators if label in targets}, (self.via,),
+                     generators=tuple(g for g in p.generators if g != self.gen),
+                     longitude=longitude and longitude.substitute(self.gen, replacement))
 
-    def apply(self, p: Presentation, replacement: Optional[Word] = None) -> Presentation:
-        """Eliminate gen; replacement, when given, is self.solved(p)."""
-        if self.gen not in p.generators:
-            raise SideConditionViolated(self, f"no generator {self.gen!r}")
-        if replacement is None:
-            replacement = self.solved(p)
-        targets = p.labels_with(self.gen)
-        relators = tuple((lab, w.substitute(self.gen, replacement) if lab in targets else w)
-                         for lab, w in p.relators if lab != self.via)
-        return p._moved(relators, tuple(g for g in p.generators if g != self.gen))
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        rewritten = SubstituteEverywhere(self.gen, Word(), self.via).shadow(p, rows).words
+        return Delta(rewritten, (self.via,),
+                     generators=tuple(g for g in p.generators if g != self.gen))
 
 
 @dataclass(frozen=True)
-class SubstituteEverywhere:
+class SubstituteEverywhere(Move):
     """Rewrite gen to an equal word inside chosen relators.
 
     The justifying relator must pin gen down (single occurrence solving
@@ -294,48 +370,56 @@ class SubstituteEverywhere:
     only_in: Optional[tuple[str, ...]] = None
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         solved = _checked(self, lambda: solve_for(p.relator(self.justified_by), self.gen))
-        if solved != self.by:
-            raise SideConditionViolated(
-                self, f"justifying relator solves {self.gen!r} to {solved}, not {self.by}")
-        if self.only_in is None:
-            targets = {lab for lab, _ in p.relators} - {self.justified_by}
-        else:
-            targets = set(self.only_in)
-            missing = targets - {lab for lab, _ in p.relators}
-            if missing:
-                raise SideConditionViolated(self, f"no relator labeled {sorted(missing)}")
-            if self.justified_by in targets:
-                raise SideConditionViolated(self, "cannot rewrite the justifying relator")
-        targets &= p.labels_with(self.gen)
-        return p._moved(tuple((lab, w.substitute(self.gen, self.by) if lab in targets else w)
-                              for lab, w in p.relators))
+        _require(self, solved == self.by,
+                 f"justifying relator solves {self.gen!r} to {solved}, not {self.by}")
+        missing = set(self.only_in or ()) - set(p.labels())
+        _require(self, not missing, f"no relator labeled {sorted(missing)}")
+        _require(self, self.justified_by not in (self.only_in or ()),
+                 "cannot rewrite the justifying relator")
+        targets = self._targets(p)
+        return Delta({label: word.substitute(self.gen, self.by)
+                      for label, word in p.relators if label in targets}, longitude=longitude)
+
+    def _targets(self, p: Presentation) -> set[str]:
+        targets = p.labels_with(self.gen) - {self.justified_by}
+        return targets if self.only_in is None else targets & set(self.only_in)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        """The target rows with gen eliminated by a +-1 pivot in the justifying row."""
+        pivot = rows.get(self.justified_by, {})
+        sigma = pivot.get(self.gen)
+        return Delta(None if sigma not in (1, -1) else {
+            label: _plus(rows[label], pivot, -rows[label].get(self.gen, 0) * sigma)
+            for label in self._targets(p)})
 
 
 @dataclass(frozen=True)
-class AddRelator:
+class AddRelator(Move):
     label: str
     word: Word
     derivation: tuple[Insertion, ...]
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        if p.has_relator(self.label):
-            raise SideConditionViolated(self, f"label {self.label!r} already present")
-        if self.word.generators() - set(p.generators):
-            raise SideConditionViolated(self, "relator uses undeclared generators")
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
+        _require(self, self.word.generators() <= set(p.generators),
+                 "relator uses undeclared generators")
         derived = Word()
         for step in self.derivation:
             derived = _checked(self, step.perform, derived, p)
-        if derived != self.word:
-            raise SideConditionViolated(
-                self, f"derivation yields {derived}, declared {self.word}")
-        return p._moved(p.relators + ((self.label, self.word),))
+        _require(self, derived == self.word, f"derivation yields {derived}, declared {self.word}")
+        return Delta({self.label: self.word}, longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        # a rewrite of the empty relator under a new label
+        fresh = {**rows, self.label: None if self.label in rows else {}}
+        return RewriteRelator(self.label, self.derivation).shadow(p, fresh)
 
 
 @dataclass(frozen=True)
-class RewriteRelator:
+class RewriteRelator(Move):
     """Replace a relator by the result of justified insertions into it.
 
     Steps may only cite other relators: self-insertion is not invertible
@@ -345,73 +429,88 @@ class RewriteRelator:
     steps: tuple[Insertion, ...]
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
         for step in self.steps:
-            if step.relator == self.label:
-                raise SideConditionViolated(
-                    self, "a rewrite cannot be justified by the relator it rewrites")
+            _require(self, step.relator != self.label,
+                     "a rewrite cannot be justified by the relator it rewrites")
             word = _checked(self, step.perform, word, p)
-        return p.with_relator(self.label, word)
+        return Delta({self.label: word}, longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        row = rows.get(self.label)
+        for step in self.steps:
+            cited = rows.get(step.relator) if step.relator != self.label else None
+            row = _plus(row, cited, -1 if step.inverted else 1)
+        return Delta({self.label: row})
 
 
 @dataclass(frozen=True)
-class RemoveRelator:
+class RemoveRelator(Move):
     """Drop a relator that is trivial or duplicates another one."""
     label: str
     duplicate_of: Optional[str] = None
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
         if self.duplicate_of is None:
-            if word != Word():
-                raise SideConditionViolated(self, f"{self.label} is not the empty relator")
+            _require(self, word == Word(), f"{self.label} is not the empty relator")
         else:
-            if self.duplicate_of == self.label:
-                raise SideConditionViolated(self, "relator cannot duplicate itself")
-            if _checked(self, p.relator, self.duplicate_of) != word:
-                raise SideConditionViolated(
-                    self, f"{self.label} and {self.duplicate_of} differ")
-        return p._moved(tuple((lab, w) for lab, w in p.relators if lab != self.label))
+            _require(self, self.duplicate_of != self.label, "relator cannot duplicate itself")
+            _require(self, _checked(self, p.relator, self.duplicate_of) == word,
+                     f"{self.label} and {self.duplicate_of} differ")
+        return Delta(dropped=(self.label,), longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        row = rows.get(self.label)
+        duplicate = self.duplicate_of != self.label and rows.get(self.duplicate_of) == row
+        return Delta(None if row is None or row and not duplicate else {}, (self.label,))
 
 
 @dataclass(frozen=True)
-class RotateRelator:
+class RotateRelator(Move):
     label: str
     k: int
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        return p.with_relator(self.label, _checked(self, p.relator, self.label).rotated(self.k))
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        word = _checked(self, p.relator, self.label)
+        return Delta({self.label: word.rotated(self.k)}, longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        return Delta({self.label: rows.get(self.label)})
 
 
 @dataclass(frozen=True)
-class InvertRelator:
+class InvertRelator(Move):
     label: str
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        return p.with_relator(self.label, ~_checked(self, p.relator, self.label))
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        return Delta({self.label: ~_checked(self, p.relator, self.label)}, longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        return Delta({self.label: _plus({}, rows.get(self.label), -1)})
 
 
 @dataclass(frozen=True)
-class RelabelRelator:
+class RelabelRelator(Move):
     old: str
     new: str
     macro: Optional[str] = None
 
-    def apply(self, p: Presentation) -> Presentation:
-        if not p.has_relator(self.old):
-            raise SideConditionViolated(self, f"no relator labeled {self.old!r}")
-        if p.has_relator(self.new):
-            raise SideConditionViolated(self, f"label {self.new!r} already present")
-        return p._moved(tuple((self.new if lab == self.old else lab, w)
-                              for lab, w in p.relators))
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        _require(self, p.has_relator(self.old), f"no relator labeled {self.old!r}")
+        _require(self, not p.has_relator(self.new), f"label {self.new!r} already present")
+        return Delta(renamed=(self.old, self.new), longitude=longitude)
+
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        return Delta(renamed=(self.old, self.new))  # moved checks that new is free
 
 
 @dataclass(frozen=True)
-class RewriteLongitude:
+class RewriteLongitude(Move):
     """Rewrite the tracked longitude to a word equal modulo one relator.
 
     The new word must differ from the current longitude by a single
@@ -421,16 +520,16 @@ class RewriteLongitude:
     via: str
     macro: Optional[str] = None
 
+    def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
+        _require(self, longitude is not None, "no longitude is being tracked")
+        _require(self, p.has_relator(self.via), f"no relator labeled {self.via!r}")
+        diff = splice(~self.new_word, longitude)
+        _require(self, rotation_witness(diff, p.relator(self.via).cyclic_reduce()[0]) is not None,
+                 "rewrite is not a single consequence of the cited relator")
+        return Delta(longitude=self.new_word)
 
-Move = (AddGenerator | RemoveGenerator | SubstituteEverywhere | AddRelator
-        | RewriteRelator | RemoveRelator | RotateRelator | InvertRelator
-        | RelabelRelator | RewriteLongitude)
-
-RELATOR_DELTAS = {
-    AddGenerator: 1, RemoveGenerator: -1, AddRelator: 1, RemoveRelator: -1,
-    SubstituteEverywhere: 0, RewriteRelator: 0, RotateRelator: 0,
-    InvertRelator: 0, RelabelRelator: 0, RewriteLongitude: 0,
-}
+    def shadow(self, p: Presentation, rows: dict) -> Delta:
+        return Delta()
 
 
 # -- traces ---------------------------------------------------------------
@@ -467,9 +566,13 @@ class Report:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    def add(self, name: str, ok: bool, reason: str = "", index: Optional[int] = None) -> bool:
-        """Record a check; the reason is kept only when it fails."""
+    def add(self, name: str, ok: bool, reason: str = "", index: Optional[int] = None,
+            detail: str = "") -> bool:
+        """Record a check.  Only when it fails is its reason kept and, if
+        given, detail made the report's detail."""
         self.checks.append(Check(name, ok, "" if ok else reason, index))
+        if not ok and detail:
+            self.detail = detail
         return ok
 
     def first_failure(self) -> Optional[Check]:
@@ -484,140 +587,20 @@ class Report:
 
 
 def apply_move(p: Presentation, move: Move,
-               longitude: Optional[Word] = None) -> tuple[Presentation, Optional[Word]]:
-    """Apply one move, transporting the tracked longitude alongside."""
-    if isinstance(move, RewriteLongitude):
-        if longitude is None:
-            raise SideConditionViolated(move, "no longitude is being tracked")
-        if not p.has_relator(move.via):
-            raise SideConditionViolated(move, f"no relator labeled {move.via!r}")
-        diff = splice(~move.new_word, longitude)
-        if rotation_witness(diff, p.relator(move.via).cyclic_reduce()[0]) is None:
-            raise SideConditionViolated(
-                move, "rewrite is not a single consequence of the cited relator")
-        return p, move.new_word
-    if isinstance(move, RemoveGenerator) and longitude is not None:
-        replacement = move.solved(p)
-        return move.apply(p, replacement), longitude.substitute(move.gen, replacement)
-    return move.apply(p), longitude
+               longitude: Optional[Word] = None) -> tuple[Presentation, Delta]:
+    """The presentation move makes of p, and its Delta, with the longitude after it."""
+    delta = move.delta(p, longitude)
+    return p.moved(delta), delta
 
 
-# -- the abelian shadow of a move ------------------------------------------------
-#
-# Rows here are keyed by generator name, {name: nonzero exponent sum}, so a
-# row keeps its meaning when a move adds or removes a generator.
-
-def _row(word: Word) -> dict[str, int]:
-    return {name: e for name, e in _exponent_sums(word).items() if e}
-
-
-def _rows(p: Presentation) -> dict[str, dict[str, int]]:
-    return {label: _row(word) for label, word in p.relators}
-
-
-def _plus(row: dict[str, int], other: dict[str, int], k: int) -> dict[str, int]:
-    """row + k * other, zeros left out."""
-    out = dict(row)
-    for name, e in other.items():
-        total = out.get(name, 0) + k * e
-        if total:
-            out[name] = total
-        else:
-            out.pop(name, None)
-    return out
-
-
-def _abelian_shadow(move: Move, p: Presentation, q: Presentation,
-                    rows: dict[str, dict[str, int]]) -> Optional[dict[str, dict[str, int]]]:
-    """The exponent rows of q by label, if they are rows (the rows of p)
-    moved by the abelian shadow of move; else None.  Each shadow changes the
-    relation matrix without changing H1: it adds to a row a multiple of
-    another row that stays, eliminates a generator with a +-1 pivot, adds a
-    generator with a +-1 in its one row, drops an empty or a duplicate row,
-    or negates, keeps or relabels a row.  Only the rows of relators that q
-    holds as a new word object are computed.  None also covers a missing
-    label, a non-unit pivot and an unexpected generator list."""
-    gens, dropped, added = set(p.generators), set(), set()
-
-    def keeps(label: str, old: dict[str, int], new: dict[str, int]) -> bool:
-        return new == old
-
-    if isinstance(move, (RemoveGenerator, SubstituteEverywhere)):
-        g = move.gen
-        via = move.via if isinstance(move, RemoveGenerator) else move.justified_by
-        pivot = rows.get(via, {})
-        sigma = pivot.get(g)
-        if sigma not in (1, -1):
-            return None
-        removes = isinstance(move, RemoveGenerator)
-        if removes:
-            gens, dropped = gens - {g}, {via}
-
-        def keeps(label, old, new):
-            if new is old:  # a relator the move left alone
-                return g not in old or not removes
-            if g not in old or label == via:
-                return new == old
-            return new == _plus(old, pivot, -old[g] * sigma)
-    elif isinstance(move, AddGenerator):
-        if move.gen in gens or move.label in rows:
-            return None
-        gens, added = gens | {move.gen}, {move.label}
-
-        def keeps(label, old, new):
-            return new.get(move.gen) in (1, -1) if label == move.label else new == old
-    elif isinstance(move, (AddRelator, RewriteRelator)):
-        if isinstance(move, AddRelator):
-            steps, row, added = move.derivation, {}, {move.label}
-            if move.label in rows:
-                return None
-        else:
-            steps, row = move.steps, rows.get(move.label)
-            if row is None:
-                return None
-        for step in steps:
-            cited = rows.get(step.relator)
-            if cited is None or step.relator == move.label:
-                return None
-            row = _plus(row, cited, -1 if step.inverted else 1)
-
-        def keeps(label, old, new):
-            return new == (row if label == move.label else old)
-    elif isinstance(move, RemoveRelator):
-        row = rows.get(move.label)
-        if row is None or row and (move.duplicate_of == move.label
-                                   or rows.get(move.duplicate_of) != row):
-            return None
-        dropped = {move.label}
-    elif isinstance(move, InvertRelator):
-        if move.label not in rows:
-            return None
-
-        def keeps(label, old, new):
-            return new == ({name: -e for name, e in old.items()} if label == move.label else old)
-    elif isinstance(move, RelabelRelator):
-        if move.old not in rows or move.new in rows:
-            return None
-        dropped, added = {move.old}, {move.new}
-
-        def keeps(label, old, new):
-            return new == (rows[move.old] if label == move.new else old)
-    elif not (isinstance(move, RotateRelator) and move.label in rows):
+def _moved_rows(move: Move, p: Presentation, delta: Delta, rows: dict) -> Optional[dict]:
+    """rows, the exponent rows of p by label, moved by delta, if delta read
+    in rows is the abelian shadow of move; else None."""
+    shadow = move.shadow(p, rows)
+    if shadow != Delta({label: _row(word) for label, word in delta.words.items()},
+                       delta.dropped, delta.renamed, delta.generators):
         return None
-    if len(q.generators) != len(gens) or set(q.generators) != gens:
-        return None
-    moved = {}
-    for label, word in q.relators:
-        old = rows.get(label)
-        if old is None and label not in added:
-            return None
-        new = old if old is not None and p._words.get(label) is word else _row(word)
-        if not keeps(label, old, new):
-            return None
-        moved[label] = new
-    if moved.keys() != (rows.keys() - dropped) | added:
-        return None
-    return moved
+    return shadow.apply_to(rows, shadow.words)
 
 
 class Replay:
@@ -627,8 +610,7 @@ class Replay:
 
     def __init__(self, start: Presentation, longitude: Optional[Word] = None,
                  check_abelian: bool = False):
-        self.presentation = start
-        self.longitude = longitude
+        self.presentation, self.longitude = start, longitude
         self.report = Report("trace replay")
         self.check_abelian = check_abelian
         self.invariants = start.abelian_invariants() if check_abelian else None
@@ -641,39 +623,30 @@ class Replay:
         report, p, i = self.report, self.presentation, len(self.report.checks)
         name = f"move {i} {type(move).__name__}" + (f" [{move.macro}]" if move.macro else "")
         try:
-            self.presentation, self.longitude = apply_move(p, move, self.longitude)
+            q, delta = apply_move(p, move, self.longitude)
         except (SideConditionViolated, PresentationError, KeyError) as exc:
-            report.add(name, False, str(exc), i)
-            report.detail = f"move {i} failed"
-            return False
-        if self.longitude is not None and \
-                self.longitude.generators() - set(self.presentation.generators):
-            report.add(name, False, "longitude uses a generator absent from the presentation", i)
-            report.detail = f"move {i} broke the longitude"
-            return False
-        # a move that returns the same presentation, or whose rows match its
-        # abelian shadow, keeps the invariants; any other is checked afresh
+            return report.add(name, False, str(exc), i, f"move {i} failed")
+        self.presentation, self.longitude = q, delta.longitude
+        if self.longitude is not None and self.longitude.generators() - set(q.generators):
+            return report.add(name, False, "longitude uses a generator absent from the "
+                              "presentation", i, f"move {i} broke the longitude")
+        # the same presentation, or rows that match the shadow, keep H1; else recompute it
         now = self.invariants
-        if self.check_abelian and self.presentation is not p:
-            self.rows = _abelian_shadow(move, p, self.presentation, self.rows)
+        if self.check_abelian and q is not p:
+            self.rows = _moved_rows(move, p, delta, self.rows)
             if self.rows is None:
-                now = self.presentation.abelian_invariants()
-                self.rows = _rows(self.presentation)
-        if not report.add(name, now == self.invariants,
-                          f"abelian invariants changed {self.invariants} -> {now}", i):
-            report.detail = f"move {i} changed the abelianization"
-            return False
-        return True
+                now, self.rows = q.abelian_invariants(), _rows(q)
+        return report.add(name, now == self.invariants, f"abelian invariants changed "
+                          f"{self.invariants} -> {now}", i, f"move {i} changed the abelianization")
 
     def finish(self, end: Presentation, longitude_end: Optional[Word]) -> Report:
         """Check the end presentation and, if given, the end longitude."""
-        report = self.report
-        if not report.add("end presentation", self.presentation == end, "does not match"):
-            report.detail = "end presentation does not match"
-        if longitude_end is not None and not report.add(
-                "end longitude", self.longitude == longitude_end, "does not match"):
-            report.detail = "end longitude does not match"
-        return report
+        self.report.add("end presentation", self.presentation == end, "does not match",
+                        detail="end presentation does not match")
+        if longitude_end is not None:
+            self.report.add("end longitude", self.longitude == longitude_end, "does not match",
+                            detail="end longitude does not match")
+        return self.report
 
 
 def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
@@ -699,31 +672,32 @@ def _insertion_json(ins: Insertion) -> dict:
 
 
 def _insertion_from_json(data: dict) -> Insertion:
-    return Insertion(_text(data["rel"]), bool(data["inv"]),
-                     parse_word(data["conj"]), int(data["at"]))
+    return Insertion(_text(data["rel"]), _bool(data["inv"]),
+                     parse_word(data["conj"]), _int(data["at"]))
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+def _json_type(kind: type, noun: str):
+    """A decoder that passes a JSON value of type kind only: a bool is no int."""
+    def decode(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {noun}, got {value!r}")
+        return value
+    return decode
 
 
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return value
+_text, _list, _int, _bool = (_json_type(str, "a string"), _json_type(list, "a list"),
+                             _json_type(int, "an integer"), _json_type(bool, "a boolean"))
 
 
 # kind -> move class; the JSON of a move is its dataclass fields
-MOVE_KINDS = {cls.__name__: cls for cls in Move.__args__}
+MOVE_KINDS = {cls.__name__: cls for cls in Move.__subclasses__()}
 
 # decoders by field annotation, a string under `from __future__ import annotations`
 _FIELD_FROM_JSON = {
     "str": _text,
     "Optional[str]": lambda text: None if text is None else _text(text),
     "Word": parse_word,
-    "int": int,
+    "int": _int,
     "tuple[Insertion, ...]": lambda steps: tuple(_insertion_from_json(s) for s in _list(steps)),
     "Optional[tuple[str, ...]]": lambda labels: (None if labels is None
                                                  else tuple(map(_text, _list(labels)))),
@@ -771,9 +745,9 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> Presentation:
-    return Presentation(tuple(data["generators"]),
-                        tuple((r["label"], parse_word(r["word"]))
-                              for r in data["relators"]),
+    return Presentation(tuple(map(_text, _list(data["generators"]))),
+                        tuple((_text(r["label"]), parse_word(r["word"]))
+                              for r in _list(data["relators"])),
                         data.get("provenance"))
 
 
@@ -811,5 +785,5 @@ def trace_from_json(data: dict) -> DerivationTrace:
         tuple(_decoded(f"move {i}", move_from_json, m)
               for i, m in enumerate(data["moves"])),
         _decoded("end", presentation_from_json, data["end"]),
-        _decoded("longitude_start", parse_word, lon_start) if lon_start else None,
-        _decoded("longitude_end", parse_word, lon_end) if lon_end else None)
+        None if lon_start is None else _decoded("longitude_start", parse_word, lon_start),
+        None if lon_end is None else _decoded("longitude_end", parse_word, lon_end))

@@ -166,7 +166,8 @@ def _pipeline_states(s):
     lon = result.trace.longitude_start
     states = [(p, lon)]
     for move in result.trace.moves:
-        p, lon = apply_move(p, move, lon)
+        p, delta = apply_move(p, move, lon)
+        lon = delta.longitude
         states.append((p, lon))
     return result, states
 
@@ -215,11 +216,16 @@ def test_pipeline_move_count_is_stable():
 
 
 def test_relator_count_matches_declared_deltas():
-    from pretzel_pi1.presentations import RELATOR_DELTAS
+    """Each move's Delta declares the relators it adds and drops; over the
+    whole trace they account for the change in the relator count."""
     for s in (3, 6):
         trace = run_pipeline(s).trace
-        delta = sum(RELATOR_DELTAS[type(mv)] for mv in trace.moves)
-        assert len(trace.end.relators) == len(trace.start.relators) + delta
+        p, lon, declared = trace.start, trace.longitude_start, 0
+        for mv in trace.moves:
+            q, delta = apply_move(p, mv, lon)
+            declared += len(delta.words.keys() - set(p.labels())) - len(delta.dropped)
+            p, lon = q, delta.longitude
+        assert len(trace.end.relators) == len(trace.start.relators) + declared
         assert trace.start.abelian_invariants() == trace.end.abelian_invariants()
 
 

@@ -1,7 +1,11 @@
 import copy
+import hashlib
 import itertools
 import math
 import random
+import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,7 @@ from pretzel_pi1.presentations import (
     MOVE_KINDS,
     AddGenerator,
     AddRelator,
+    Delta,
     DerivationTrace,
     Insertion,
     InvertRelator,
@@ -192,12 +197,36 @@ def test_remove_generator_requires_single_occurrence():
         RemoveGenerator("a", "r1").apply(BASE)  # a occurs twice in r1
     with pytest.raises(SideConditionViolated):
         RemoveGenerator("a", "r2").apply(BASE)  # three times in r2
+    # an absent generator fails the solve, with or without a tracked longitude
+    for longitude in (None, W("a b")):
+        with pytest.raises(SideConditionViolated,
+                           match="generator 'z' occurs 0 times, need exactly 1"):
+            apply_move(BASE, RemoveGenerator("z", "r1"), longitude)
 
 
 def test_solve_for_both_signs():
     assert solve_for(W("c a D A"), "d") == W("A c a")
     assert solve_for(W("h F A"), "a") == W("h F")
     assert solve_for(W("f e C E"), "f") == W("e c E")
+
+
+def test_moved_checks_what_the_delta_names():
+    """moved checks each word a delta sets, a renamed label and that no kept
+    relator uses a removed generator; it keeps each relator in place, puts
+    a new label last, and gives back the parent for a longitude-only delta."""
+    for delta, named in (
+            (Delta({"r 3": W("a")}), "bad relator label: 'r 3'"),
+            (Delta({"r3": W("z")}), "relator r3 uses undeclared generators ['z']"),
+            (Delta(renamed=("r1", "r10 c")), "bad relator label: 'r10 c'"),
+            (Delta(renamed=("r1", "r2")), "duplicate relator label: 'r2'"),
+            (Delta(generators=("a",)), "relator r1 uses undeclared generators ['b']")):
+        with pytest.raises(PresentationError, match=re.escape(named)):
+            BASE.moved(delta)
+    assert BASE.moved(Delta(longitude=W("a"))) is BASE
+    q = BASE.moved(Delta({"r2": W("a^2"), "r0": W("b^2")}, renamed=("r1", "s1")))
+    assert q.relators == (("s1", W("a b A B")), ("r2", W("a^2")), ("r0", W("b^2")))
+    assert q == Presentation(q.generators, q.relators)
+    assert BASE.moved(Delta(dropped=("r1",), generators=("a",))).relators == (("r2", W("a^3")),)
 
 
 def test_substitute_everywhere_checks_justification():
@@ -289,7 +318,8 @@ def test_trace_json_round_trip():
     p = BASE
     lon = W("a b")
     for mv in moves:
-        p, lon = apply_move(p, mv, lon)
+        p, delta = apply_move(p, mv, lon)
+        lon = delta.longitude
     trace = DerivationTrace(BASE, moves, p, W("a b"), lon)
     data = trace_to_json(trace)
     assert data["v"] == 1
@@ -299,7 +329,8 @@ def test_trace_json_round_trip():
 
 
 def test_trace_from_json_names_the_bad_field():
-    moves = (RotateRelator("r1", 1), RelabelRelator("r2", "r7"))
+    moves = (RotateRelator("r1", 1), RelabelRelator("r2", "r7"),
+             RewriteRelator("r1", (Insertion("r7", True, W("b"), 1),)))
     p = BASE
     for mv in moves:
         p, _ = apply_move(p, mv)
@@ -314,12 +345,43 @@ def test_trace_from_json_names_the_bad_field():
     unknown["moves"][0]["kind"] = "Frobnicate"
     not_a_label = copy.deepcopy(data)
     not_a_label["moves"][0]["label"] = 7
-    for doc, named in ((missing, "move 1 has no field 'new'"),
-                       (not_a_label, "move 0: field 'label': expected a string"),
-                       (mistyped, "start: "),
-                       (not_an_object, "field 'end' is missing or not a dict"),
-                       (unknown, "move 0: unknown move kind 'Frobnicate'")):
-        with pytest.raises(PresentationError, match=named):
+    cases = [(missing, "move 1 has no field 'new'"),
+             (not_a_label, "move 0: field 'label': expected a string"),
+             (mistyped, "start: "),
+             (not_an_object, "field 'end' is missing or not a dict"),
+             (unknown, "move 0: unknown move kind 'Frobnicate'")]
+    # JSON types are checked, not coerced: an integer is no float, bool or
+    # string, a flag is a JSON boolean, a generator list is a list, and a
+    # longitude that is not null is a word
+    def rotate(doc):
+        return doc["moves"][0]
+
+    def step(doc):
+        return doc["moves"][2]["steps"][0]
+
+    def end(doc):
+        return doc["end"]
+
+    def trace(doc):
+        return doc
+
+    for place, key, value, named in (
+            (rotate, "k", 1.9, "move 0: field 'k': expected an integer, got 1.9"),
+            (rotate, "k", True, "move 0: field 'k': expected an integer, got True"),
+            (rotate, "k", "1", "move 0: field 'k': expected an integer, got '1'"),
+            (step, "at", 1.0, "move 2: field 'steps': expected an integer, got 1.0"),
+            (step, "inv", 0, "move 2: field 'steps': expected a boolean, got 0"),
+            (step, "inv", 1, "move 2: field 'steps': expected a boolean, got 1"),
+            (step, "inv", "false", "move 2: field 'steps': expected a boolean, got 'false'"),
+            (end, "generators", "cl", "end: expected a list, got 'cl'"),
+            (end, "relators", [{"label": 7, "word": "a"}], "end: expected a string, got 7"),
+            (trace, "longitude_end", 0, "longitude_end: word text must be a string, got 0"),
+            (trace, "longitude_end", "", "longitude_end: empty word text")):
+        doc = copy.deepcopy(data)
+        place(doc)[key] = value
+        cases.append((doc, named))
+    for doc, named in cases:
+        with pytest.raises(PresentationError, match=re.escape(named)):
             trace_from_json(doc)
 
 
@@ -391,7 +453,8 @@ def test_carried_generator_sets_match_a_fresh_index():
         trace = full_trace(run_pipeline(s))
         p, longitude = trace.start, trace.longitude_start
         for move in trace.moves:
-            p, longitude = apply_move(p, move, longitude)
+            p, delta = apply_move(p, move, longitude)
+            longitude = delta.longitude
             fresh = Presentation(p.generators, p.relators)
             assert all(p.labels_with(g) == fresh.labels_with(g) for g in p.generators), \
                 (s, move)
@@ -496,16 +559,18 @@ def test_random_move_sequences_preserve_invariants(seed):
 
 
 def test_relator_count_deltas():
-    from pretzel_pi1.presentations import RELATOR_DELTAS
     p = BASE
-    moves = [AddGenerator("z", W("a"), "rz"),
-             AddRelator("rc", W("a^3"), (Insertion("r2", False, Word(), 0),)),
-             RemoveRelator("rc", duplicate_of="r2"),
-             RemoveGenerator("z", "rz")]
-    for mv in moves:
-        before = len(p.relators)
-        p = mv.apply(p)
-        assert len(p.relators) == before + RELATOR_DELTAS[type(mv)]
+    moves = [(AddGenerator("z", W("a"), "rz"), 1),
+             (AddRelator("rc", W("a^3"), (Insertion("r2", False, Word(), 0),)), 1),
+             (RelabelRelator("rc", "rd"), 0),
+             (RemoveRelator("rd", duplicate_of="r2"), -1),
+             (RemoveGenerator("z", "rz"), -1)]
+    for mv, change in moves:
+        delta = mv.delta(p, None)
+        assert len(delta.words.keys() - set(p.labels())) - len(delta.dropped) == change
+        q = p.moved(delta)
+        assert len(q.relators) == len(p.relators) + change
+        p = q
 
 
 # -- the abelian shadow of each move, against other oracles ---------------------
@@ -583,11 +648,17 @@ def _replayed_from(replay, moves, trace):
     return twin.report
 
 
+MUTANT_REPORTS_SHA256 = "25efb0829aa502c46dd628ced2fb798049efe130329b223732b834f681000098"
+
+
 def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
     """Replaying with H1 recomputed after every move, as when no move has a
     shadow, gives the same Report, check for check, as the shadow path, on
-    every trace that differs from the s=3 or s=5 trace in one move field."""
-    mutants = 0
+    every trace that differs from the s=3 or s=5 trace in one move field.
+    No replay raises, none fails before the mutated move, and the printed
+    reports, in order, hash to the digest they had when it was recorded."""
+    mutants, raised, outcomes = 0, [], Counter()
+    digest = hashlib.sha256()
     for s in (3, 5):
         trace = full_trace(run_pipeline(s))
         shadowed, forced = (Replay(trace.start, trace.longitude_start, check_abelian=True)
@@ -597,25 +668,40 @@ def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
             for move in trace.moves[stepped:i]:
                 assert shadowed.step(move)
                 with monkeypatch.context() as patch:
-                    patch.setattr(presentations, "_abelian_shadow", no_shadow)
+                    patch.setattr(presentations, "_moved_rows", no_shadow)
                     assert forced.step(move)
             stepped = i
             moves = (mutant,) + trace.moves[i + 1:]
-            with_shadow = _replayed_from(shadowed, moves, trace)
-            with monkeypatch.context() as patch:
-                patch.setattr(presentations, "_abelian_shadow", no_shadow)
-                fresh = _replayed_from(forced, moves, trace)
+            mutants += 1
+            try:
+                with_shadow = _replayed_from(shadowed, moves, trace)
+                with monkeypatch.context() as patch:
+                    patch.setattr(presentations, "_moved_rows", no_shadow)
+                    fresh = _replayed_from(forced, moves, trace)
+            except Exception as exc:  # noqa: BLE001 - a replay must never raise
+                raised.append((s, i, mutant, exc))
+                continue
             assert (with_shadow.checks, with_shadow.detail) == (fresh.checks, fresh.detail), \
                 (s, i, mutant)
-            mutants += 1
-    assert mutants > 1000
+            digest.update(str(with_shadow).encode() + b"\n")
+            failure = with_shadow.first_failure()
+            if failure is None or failure.index is None:
+                outcomes["pass" if failure is None else "end"] += 1
+            else:
+                assert failure.index >= i, (s, i, mutant)
+                outcomes["own" if failure.index == i else "later"] += 1
+    assert raised == []
+    assert mutants == 1774 > 1000
+    assert outcomes == {"own": 934, "later": 158, "end": 24, "pass": 658}
+    assert digest.hexdigest() == MUTANT_REPORTS_SHA256
 
 
 def test_forced_fallback_and_shadow_soundness_on_random_moves(monkeypatch):
     """On the random move sequences of the acceptance suite, forcing the
-    fallback gives the same Report.  And wherever a move's result is tampered
-    with (a relator times a letter, a relator or generator dropped), a shadow
-    that still matches claims only what the dense Smith normal form confirms."""
+    fallback gives the same Report.  And wherever a move's Delta is tampered
+    with (a relator times a letter, a relator or generator dropped, a
+    generator added), a shadow that still matches claims only what the dense
+    Smith normal form confirms."""
     rng = random.Random(1729)
     claims = 0
     for _ in range(300):
@@ -626,70 +712,85 @@ def test_forced_fallback_and_shadow_soundness_on_random_moves(monkeypatch):
             if move is None:
                 continue
             try:
-                q = move.apply(p)
+                delta = move.delta(p, None)
             except SideConditionViolated:
                 continue
-            for tampered in _tampered(rng, q):
-                rows = presentations._abelian_shadow(move, p, tampered, rows_by_name(p))
+            for tampered in _tampered(rng, p, delta):
+                try:
+                    q = p.moved(tampered)
+                except PresentationError:
+                    continue
+                rows = presentations._moved_rows(move, p, tampered, rows_by_name(p))
                 if rows is not None:
                     claims += 1
-                    assert rows == rows_by_name(tampered)
-                    assert tampered.abelian_invariants() == p.abelian_invariants()
+                    assert rows == rows_by_name(q)
+                    assert q.abelian_invariants() == p.abelian_invariants()
             moves.append(move)
-            p = q
+            p = p.moved(delta)
         trace = DerivationTrace(start, tuple(moves), p)
         with_shadow = replay_trace(trace, check_abelian=True)
         with monkeypatch.context() as patch:
-            patch.setattr(presentations, "_abelian_shadow", no_shadow)
+            patch.setattr(presentations, "_moved_rows", no_shadow)
             fresh = replay_trace(trace, check_abelian=True)
         assert with_shadow.ok and with_shadow.checks == fresh.checks
     assert claims > 0
 
 
-def _tampered(rng, q):
-    """q itself and presentations that differ from q in one place."""
-    out = [q]
+def _dropping(delta, labels):
+    """delta, with the relators under labels dropped from its result too."""
+    return replace(delta, words={lab: w for lab, w in delta.words.items() if lab not in labels},
+                   dropped=delta.dropped + tuple(sorted(labels)))
+
+
+def _tampered(rng, p, delta):
+    """delta itself and deltas whose result differs from its result q in one place."""
+    q = p.moved(delta)
+    out = [delta]
     if q.relators and q.generators:
         label, word = rng.choice(q.relators)
-        out.append(q.with_relator(label, word * Word.generator(rng.choice(q.generators))))
-        out.append(Presentation(q.generators, tuple(r for r in q.relators if r[0] != label)))
+        letter = Word.generator(rng.choice(q.generators))
+        out.append(replace(delta, words={**delta.words, label: word * letter}))
+        out.append(_dropping(delta, {label}))
     if len(q.generators) > 1:
         gone = q.generators[-1]
-        kept = tuple((lab, w) for lab, w in q.relators if gone not in w.generators())
-        out.append(Presentation(q.generators[:-1], kept))
-    out.append(Presentation(q.generators + ("y",), q.relators))
+        out.append(replace(_dropping(delta, q.labels_with(gone)), generators=q.generators[:-1]))
+    out.append(replace(delta, generators=q.generators + ("y",)))
     return out
 
 
 def test_the_shadow_is_total():
     """A missing label, a non-unit pivot, a changed generator list or a row
     dropped without cause gives no shadow, and nothing raises.  The first
-    three results below have the rows an unguarded shadow would predict,
-    and another H1."""
+    four deltas below move the rows as an unguarded shadow would predict,
+    and change H1."""
     p = Presentation(("a", "b"), (("r1", W("a^2 b")), ("r2", W("b^3"))))  # H1 = Z/6
     rows = rows_by_name(p)
-    rotated = RotateRelator("r1", 1).apply(p)
-    assert presentations._abelian_shadow(RotateRelator("r1", 1), p, rotated, rows) == rows
-    only_r2 = Presentation(("a", "b"), (("r2", W("b^3")),))
-    cases = [(RemoveGenerator("a", "r1"), Presentation(("b",), (("r2", W("b^3")),))),
+    rotate = RotateRelator("r1", 1)
+    assert presentations._moved_rows(rotate, p, rotate.delta(p, None), rows) == rows
+    rotated = rotate.delta(p, None).words
+    only_r2 = Delta(dropped=("r1",))
+    cases = [(RemoveGenerator("a", "r1"), Delta(dropped=("r1",), generators=("b",))),
              (RemoveRelator("r1"), only_r2),
              (RemoveRelator("r1", "r2"), only_r2),
+             (AddGenerator("z", W("z"), "r3"), Delta({"r3": Word()}, generators=("a", "b", "z"))),
              (RemoveRelator("r1", "r1"), only_r2),
-             (RemoveGenerator("a", "r9"), p),
-             (RotateRelator("r9", 1), rotated),
-             (RotateRelator("r1", 1), Presentation(("a", "b", "z"), rotated.relators)),
-             (RotateRelator("r1", 1), Presentation(("a", "b"), rotated.relators[:1]))]
-    for move, q in cases[:3]:
-        assert q.abelian_invariants() != p.abelian_invariants()
+             (RemoveGenerator("a", "r9"), Delta()),
+             (RotateRelator("r9", 1), Delta(rotated)),
+             (RotateRelator("r1", 1), Delta(rotated, generators=("a", "b", "z"))),
+             (RotateRelator("r1", 1), Delta(rotated, dropped=("r2",)))]
+    for move, delta in cases[:4]:
+        assert p.moved(delta).abelian_invariants() != p.abelian_invariants()
     for move in (AddRelator("r1", W("a"), ()), RewriteRelator("r9", ()),
                  RewriteRelator("r1", (Insertion("r1", False, Word(), 0),)),
                  RewriteRelator("r1", (Insertion("r9", False, Word(), 0),)),
                  InvertRelator("r9"), RelabelRelator("r1", "r2"), RelabelRelator("r9", "r3"),
                  AddGenerator("a", W("b"), "r3"), AddGenerator("z", W("b"), "r1"),
-                 SubstituteEverywhere("a", W("b"), "r9"), RewriteLongitude(W("a"), "r1")):
-        cases.append((move, p))
-    for move, q in cases:
-        assert presentations._abelian_shadow(move, p, q, rows) is None, move
+                 SubstituteEverywhere("a", W("b"), "r9")):
+        cases.append((move, Delta()))
+    for move, delta in cases:
+        assert presentations._moved_rows(move, p, delta, rows) is None, move
+    # a longitude rewrite leaves every row as it is
+    assert presentations._moved_rows(RewriteLongitude(W("a"), "r1"), p, Delta(), rows) == rows
 
 
 def test_a_move_that_changes_h1_fails_at_its_own_index(monkeypatch):
@@ -697,13 +798,13 @@ def test_a_move_that_changes_h1_fails_at_its_own_index(monkeypatch):
     c is reported at its own index with the reason a full H1 gives."""
     trace = full_trace(run_pipeline(3))
     k = next(i for i, move in enumerate(trace.moves) if isinstance(move, RotateRelator))
-    rotate = RotateRelator.apply
+    rotate = RotateRelator.delta
 
-    def padded(self, p):
-        q = rotate(self, p)
-        return q.with_relator(self.label, q.relator(self.label) * W("c"))
+    def padded(self, p, longitude):
+        delta = rotate(self, p, longitude)
+        return replace(delta, words={self.label: delta.words[self.label] * W("c")})
 
-    monkeypatch.setattr(RotateRelator, "apply", padded)
+    monkeypatch.setattr(RotateRelator, "delta", padded)
     report = replay_trace(trace, check_abelian=True)
     failure = report.first_failure()
     assert (failure.index, failure.reason) == (k, "abelian invariants changed (0,) -> ()")

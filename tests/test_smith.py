@@ -97,7 +97,8 @@ def test_invariants_match_the_oracle_on_every_trace_presentation():
         p, longitude = trace.start, trace.longitude_start
         for move in (None, *trace.moves):
             if move is not None:
-                p, longitude = apply_move(p, move, longitude)
+                p, delta = apply_move(p, move, longitude)
+                longitude = delta.longitude
             n = len(p.generators)
             matrix = [[row.get(j, 0) for j in range(n)] for row in p.exponent_rows()]
             assert p.abelian_invariants() == dense_invariants(matrix, n) == (0,)
