@@ -56,6 +56,11 @@ FAILING_TRACES = {
     "bad_longitude_s3.json": ("trace_s3.json", _corrupt_longitude),
 }
 
+# trace files committed under tests/data, copied into the run directory:
+# the v1 traces (each RewriteLongitude states its whole new word) that
+# derive --emit-trace wrote before schema v2
+FIXTURES = ("trace_v1_s3.json", "trace_v1_s5.json")
+
 # presentation files for abelianize whose unit-pivot elimination leaves a
 # dense core larger than 1x1: name -> text
 PRESENTATIONS = {
@@ -99,6 +104,9 @@ def grid() -> list[tuple[list[str], bool]]:
         add(False, "verify", "trace", f"trace_s{s}.json", "--check-abelian", "--format", "json")
     add(True, "verify", "trace", "trace_s3.json", "--check-abelian")
     add(True, "verify", "trace", "trace_s4.json", "--format", "json")
+    for name in FIXTURES:
+        add(True, "verify", "trace", name, "--check-abelian", "--format", "json")
+        add(True, "verify", "trace", name, "--check-abelian")
     for name in FAILING_TRACES:
         add(True, "verify", "trace", name, "--check-abelian", "--format", "json")
         add(True, "verify", "trace", name, "--check-abelian")
@@ -137,9 +145,11 @@ def _digest(data: bytes) -> dict:
 
 
 def _prepare(argv: list[str]) -> None:
-    """Write any presentation file the argv names, and any failing trace,
-    from its passing trace."""
+    """Write any presentation file or committed trace the argv names, and
+    any failing trace, from its passing trace."""
     for name in argv:
+        if name in FIXTURES:
+            pathlib.Path(name).write_bytes((ROOT / "tests" / "data" / name).read_bytes())
         if name in PRESENTATIONS:
             pathlib.Path(name).write_text(PRESENTATIONS[name], encoding="utf-8")
         if name in FAILING_TRACES and not os.path.exists(name):

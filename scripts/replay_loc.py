@@ -27,6 +27,8 @@ NAMES = (
     "replay_trace",
     # the move as a Delta and its abelian shadow
     "_require", "Move", "Delta", "_moved_rows", "_json_type",
+    # one rule for the insertions of relator and longitude rewrites
+    "_inserted",
 )
 
 

@@ -79,7 +79,7 @@ def _cmd_derive(args) -> int:
     ok = report.ok and (inductions is None or all(r.ok for r in inductions.values()))
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_json(trace), handle, indent=2)
+            handle.write(json.dumps(trace_to_json(trace), indent=2))
     if args.format == "json":
         doc = {
             "command": "derive",
@@ -201,7 +201,7 @@ def _cmd_nlo(args) -> int:
         code = EXIT_INCONCLUSIVE
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
+            handle.write(json.dumps(document, indent=2))
     if args.format == "json":
         _emit_json(document)
     else:

@@ -22,7 +22,7 @@ steeper is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .knot import check_s, initial_longitude, strand_name, tunnel_moves, wirtinger_presentation
@@ -44,7 +44,7 @@ from .presentations import (
     SubstituteEverywhere,
     solve_for,
 )
-from .words import Word, rotation_witness, splice
+from .words import Word, rotation_witness
 
 
 class DerivationError(RuntimeError):
@@ -244,13 +244,18 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     return Insertion(label, witness["inverted"], conj, pos)
 
 
-def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
-                     via: str, macro: str) -> RewriteRelator:
-    word = p.relator(label)
+def _first_replacement(word: Word, old: Word, new: Word, via: str, p: Presentation,
+                       where: str) -> Insertion:
+    """Insertion that swaps the first occurrence of old in word for new."""
     pos = word.find(old)
     if pos < 0:
-        raise DerivationError(f"{old} does not occur in relator {label} = {word}")
-    ins = _replacement_insertion(word, pos, old, new, via, p.relator(via))
+        raise DerivationError(f"{old} does not occur in {where} {word}")
+    return _replacement_insertion(word, pos, old, new, via, p.relator(via))
+
+
+def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
+                     via: str, macro: str) -> RewriteRelator:
+    ins = _first_replacement(p.relator(label), old, new, via, p, f"relator {label} =")
     return RewriteRelator(label, (ins,), macro=macro)
 
 
@@ -286,11 +291,8 @@ def run_pipeline(s: int) -> PipelineResult:
         moves.append(move)
 
     def rewrite_longitude(old: Word, new: Word, via: str, macro: str):
-        pos = lon.find(old)
-        if pos < 0:
-            raise DerivationError(f"{old} does not occur in the longitude")
-        target = splice(lon[:pos], new, lon[pos + len(old):])
-        do(RewriteLongitude(target, via, macro=macro))
+        ins = _first_replacement(lon, old, new, via, p, "the longitude")
+        do(RewriteLongitude((ins,), macro=macro))
 
     for move in tunnel_moves(s):
         do(move)
@@ -373,9 +375,11 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
     """Shorten the pipeline longitude via single-relator consequences.
 
     The chain first straightens the tail, then unfolds the repeated
-    bracket one factor at a time; each step is one RewriteLongitude,
-    checked against the knot group relator where the moves are replayed
-    (derive steps them through its Replay).
+    bracket one factor at a time; each step is one RewriteLongitude that
+    inserts one conjugate of the knot group relator, checked where the
+    moves are replayed (derive steps them through its Replay).  Chain word
+    n is c^-(s-2+n) l c l^s bracket^(s-n) tail, so each unfolding is the
+    same insertion at its own offset.
     """
     check_s(s)
     if l12 != expected_l12(s):
@@ -387,12 +391,20 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
         return Word.from_syllables([("c", -(s - 2 + n)), ("l", 1), ("c", 1), ("l", s)]
                                    + bracket * (s - n) + tail)
 
-    words = [chain_word(n) for n in range(1, s + 1)]
-    if words[-1] != longitude_word(s):
+    if chain_word(s) != longitude_word(s):
         raise DerivationError("simplification chain did not reach the closed form")
-    return SimplifiedLongitude(words[-1], tuple(
-        RewriteLongitude(target, "r_inf", macro="longitude_simplification")
-        for target in words))
+    relator, first = final_relator(s), chain_word(1)
+    # the tail: the pipeline longitude becomes chain word 1 after their common prefix
+    k = next((i for i, (a, b) in enumerate(zip(l12.letters, first.letters)) if a != b),
+             min(len(l12), len(first)))
+    steps = [_replacement_insertion(l12, k, l12[k:], first[k:], "r_inf", relator)]
+    # chain word n to n+1: at offset s-2+n, l c l^s bracket becomes c^-1 l c l^s
+    unfold = _replacement_insertion(
+        first, s - 1, Word.from_syllables([("l", 1), ("c", 1), ("l", s)] + bracket),
+        Word.from_syllables([("c", -1), ("l", 1), ("c", 1), ("l", s)]), "r_inf", relator)
+    steps += [replace(unfold, position=s - 2 + n) for n in range(1, s)]
+    return SimplifiedLongitude(longitude_word(s), tuple(
+        RewriteLongitude((step,), macro="longitude_simplification") for step in steps))
 
 
 def full_trace(result: PipelineResult) -> DerivationTrace:

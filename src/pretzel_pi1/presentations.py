@@ -47,6 +47,15 @@ def _checked(move, compute, *args):
         raise SideConditionViolated(move, str(exc)) from exc
 
 
+def _inserted(move, word: Word, steps, p: Presentation, own: Optional[str] = None) -> Word:
+    """word with the insertions steps performed in turn, none citing the relator own."""
+    for step in steps:
+        _require(move, step.relator != own,
+                 "a rewrite cannot be justified by the relator it rewrites")
+        word = _checked(move, step.perform, word, p)
+    return word
+
+
 @dataclass
 class Delta:
     """What a move changes: the words it sets by label (a new label goes last),
@@ -83,6 +92,7 @@ class Presentation:
     provenance: Optional[str] = None
     _words: dict = field(init=False, repr=False)  # label -> word
     _uses: dict = field(init=False, repr=False)   # label -> set of its generators
+    _generator_set: frozenset = field(init=False, repr=False)  # the generators, as a set
 
     def __post_init__(self):
         seen = set()
@@ -101,6 +111,7 @@ class Presentation:
             words[label] = word
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_uses", uses)
+        object.__setattr__(self, "_generator_set", frozenset(seen))
 
     @staticmethod
     def _new_label(label: str) -> str:
@@ -126,7 +137,7 @@ class Presentation:
         if not (delta.words or delta.dropped or delta.renamed or delta.generators is not None):
             return self
         generators = self.generators if delta.generators is None else delta.generators
-        declared = set(generators)
+        declared = self._generator_set if delta.generators is None else frozenset(generators)
         if delta.renamed is not None and self._new_label(delta.renamed[1]) in self._words:
             raise PresentationError(f"duplicate relator label: {delta.renamed[1]!r}")
         uses = delta.apply_to(self._uses, {
@@ -134,7 +145,7 @@ class Presentation:
                                   word.generators(), declared)
             for label, word in delta.words.items()})
         if delta.generators is not None:
-            removed = set(self.generators) - declared
+            removed = self._generator_set - declared
             for label, used in uses.items():
                 if not removed.isdisjoint(used):
                     self._declared(label, used, declared)
@@ -145,6 +156,7 @@ class Presentation:
         object.__setattr__(new, "provenance", self.provenance)
         object.__setattr__(new, "_words", words)
         object.__setattr__(new, "_uses", uses)
+        object.__setattr__(new, "_generator_set", declared)
         return new
 
     # equality ignores relator order but not generator order
@@ -406,9 +418,7 @@ class AddRelator(Move):
         _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
         _require(self, self.word.generators() <= set(p.generators),
                  "relator uses undeclared generators")
-        derived = Word()
-        for step in self.derivation:
-            derived = _checked(self, step.perform, derived, p)
+        derived = _inserted(self, Word(), self.derivation, p)
         _require(self, derived == self.word, f"derivation yields {derived}, declared {self.word}")
         return Delta({self.label: self.word}, longitude=longitude)
 
@@ -431,11 +441,8 @@ class RewriteRelator(Move):
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
-        for step in self.steps:
-            _require(self, step.relator != self.label,
-                     "a rewrite cannot be justified by the relator it rewrites")
-            word = _checked(self, step.perform, word, p)
-        return Delta({self.label: word}, longitude=longitude)
+        return Delta({self.label: _inserted(self, word, self.steps, p, self.label)},
+                     longitude=longitude)
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         row = rows.get(self.label)
@@ -511,17 +518,23 @@ class RelabelRelator(Move):
 
 @dataclass(frozen=True)
 class RewriteLongitude(Move):
-    """Rewrite the tracked longitude to a word equal modulo one relator.
+    """Rewrite the tracked longitude by insertions, as RewriteRelator
+    rewrites a relator.
 
-    The new word must differ from the current longitude by a single
-    conjugate of the cited relator, checked via rotation_witness.
+    The v1 form, with steps None, states the whole new word and the relator
+    that justifies it: the new word must differ from the current longitude
+    by a single conjugate of that relator, checked via rotation_witness.
     """
-    new_word: Word
-    via: str
+    steps: Optional[tuple[Insertion, ...]] = None
+    new_word: Optional[Word] = None
+    via: Optional[str] = None
     macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, longitude is not None, "no longitude is being tracked")
+        if self.steps is not None:
+            _require(self, self.new_word is None, "a rewrite states steps or a new word, not both")
+            return Delta(longitude=_inserted(self, longitude, self.steps, p))
         _require(self, p.has_relator(self.via), f"no relator labeled {self.via!r}")
         diff = splice(~self.new_word, longitude)
         _require(self, rotation_witness(diff, p.relator(self.via).cyclic_reduce()[0]) is not None,
@@ -627,7 +640,7 @@ class Replay:
         except (SideConditionViolated, PresentationError, KeyError) as exc:
             return report.add(name, False, str(exc), i, f"move {i} failed")
         self.presentation, self.longitude = q, delta.longitude
-        if self.longitude is not None and self.longitude.generators() - set(q.generators):
+        if self.longitude is not None and not self.longitude.generators() <= q._generator_set:
             return report.add(name, False, "longitude uses a generator absent from the "
                               "presentation", i, f"move {i} broke the longitude")
         # the same presentation, or rows that match the shadow, keep H1; else recompute it
@@ -663,7 +676,7 @@ def replay_trace(trace: DerivationTrace, check_abelian: bool = False) -> Report:
 
 # -- JSON serialization -----------------------------------------------------
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2  # v2: a RewriteLongitude may state its steps; v1 is still read
 
 
 def _insertion_json(ins: Insertion) -> dict:
@@ -704,6 +717,14 @@ _FIELD_FROM_JSON = {
 }
 
 
+# A RewriteLongitude's JSON holds every field of one form, none of them null:
+# its steps (from v2 on) or, as every v1 one does, its new word and the
+# relator that justifies it; and it may hold a macro.
+_LONGITUDE_FIELDS = {"steps": _FIELD_FROM_JSON["tuple[Insertion, ...]"],
+                     "new_word": parse_word, "via": _text,
+                     "macro": _FIELD_FROM_JSON["Optional[str]"]}
+
+
 def _field_json(value):
     if isinstance(value, Word):
         return value.tokens()
@@ -719,22 +740,35 @@ def move_to_json(move: Move) -> dict:
     if move.macro:
         data["macro"] = move.macro
     for f in fields(move):
-        if f.name != "macro":
-            data[f.name] = _field_json(getattr(move, f.name))
+        value = getattr(move, f.name)
+        # a RewriteLongitude leaves out the fields of the form it does not use
+        if f.name != "macro" and (value is not None or not isinstance(move, RewriteLongitude)):
+            data[f.name] = _field_json(value)
     return data
 
 
-def move_from_json(data: dict) -> Move:
+def _field_decoders(cls, data: dict, version: int) -> dict:
+    """{name: decoder} for each field of cls that data must hold, and each
+    optional one it holds, in field order."""
+    if cls is RewriteLongitude:
+        form = ("steps",) if version > 1 and "steps" in data else ("new_word", "via")
+        return {name: _LONGITUDE_FIELDS[name] for name in (*form, "macro")
+                if name in form or name in data}
+    return {f.name: _FIELD_FROM_JSON[f.type] for f in fields(cls)
+            if f.name in data or f.default is MISSING}
+
+
+def move_from_json(data: dict, version: int = TRACE_SCHEMA_VERSION) -> Move:
+    """Decode a move of a trace of schema version."""
     cls = MOVE_KINDS.get(data["kind"])
     if cls is None:
         raise PresentationError(f"unknown move kind {data['kind']!r}")
     values = {}
-    for f in fields(cls):
-        if f.name in data or f.default is MISSING:
-            try:
-                values[f.name] = _FIELD_FROM_JSON[f.type](data[f.name])
-            except (TypeError, ValueError) as exc:
-                raise PresentationError(f"field {f.name!r}: {exc}") from exc
+    for name, decode in _field_decoders(cls, data, version).items():
+        try:
+            values[name] = decode(data[name])
+        except (TypeError, ValueError) as exc:
+            raise PresentationError(f"field {name!r}: {exc}") from exc
     return cls(**values)
 
 
@@ -760,9 +794,9 @@ def trace_to_json(trace: DerivationTrace) -> dict:
             "longitude_end": _field_json(trace.longitude_end)}
 
 
-def _decoded(where: str, decode, value):
+def _decoded(where: str, decode, *args):
     try:
-        return decode(value)
+        return decode(*args)
     except KeyError as exc:
         raise PresentationError(f"{where} has no field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -773,8 +807,9 @@ def trace_from_json(data: dict) -> DerivationTrace:
     """Decode a trace; a missing or mistyped field raises PresentationError naming it."""
     if not isinstance(data, dict):
         raise PresentationError(f"a trace is a JSON object, not a {type(data).__name__}")
-    if data.get("v") != TRACE_SCHEMA_VERSION:
-        raise PresentationError(f"unsupported trace schema version {data.get('v')!r}")
+    version = data.get("v")
+    if type(version) is not int or version not in (1, TRACE_SCHEMA_VERSION):
+        raise PresentationError(f"unsupported trace schema version {version!r}")
     for key, kind in (("start", dict), ("moves", list), ("end", dict)):
         if not isinstance(data.get(key), kind):
             raise PresentationError(f"trace field {key!r} is missing or not a {kind.__name__}")
@@ -782,7 +817,7 @@ def trace_from_json(data: dict) -> DerivationTrace:
     lon_end = data.get("longitude_end")
     return DerivationTrace(
         _decoded("start", presentation_from_json, data["start"]),
-        tuple(_decoded(f"move {i}", move_from_json, m)
+        tuple(_decoded(f"move {i}", move_from_json, m, version)
               for i, m in enumerate(data["moves"])),
         _decoded("end", presentation_from_json, data["end"]),
         None if lon_start is None else _decoded("longitude_start", parse_word, lon_start),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 GENERATOR_RE = re.compile(r"[a-z][a-z0-9]*\Z")
@@ -63,7 +64,7 @@ def _splice_letters(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
 class Word:
     """A freely reduced word; the universal currency of the toolkit."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_generators")  # _generators: filled by generators()
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce_letters(letters))
@@ -154,8 +155,14 @@ class Word:
                 runs.append((name, sign))
         return runs
 
-    def generators(self) -> set[str]:
-        return {name for name, _ in self.letters}
+    def generators(self) -> frozenset[str]:
+        """The names the word uses, found on the first call and kept."""
+        try:
+            return self._generators
+        except AttributeError:
+            names = frozenset(map(itemgetter(0), self.letters))
+            object.__setattr__(self, "_generators", names)
+            return names
 
     # -- rendering -----------------------------------------------------
 

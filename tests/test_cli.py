@@ -273,3 +273,30 @@ def test_scripts_run_clean(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("key,value,failure", [
+    ("rel", "nope", {"detail": "move 48 failed", "failed_move": 48}),
+    ("at", 10 ** 6, {"detail": "move 48 failed", "failed_move": 48}),
+    ("conj", "z", {"detail": "move 48 broke the longitude", "failed_move": 48}),
+    # a flipped inverse is still a sound insertion: only the end longitude differs
+    ("inv", False, {"detail": "end longitude does not match"}),
+])
+def test_verify_trace_rejects_a_bad_v2_longitude_step(tmp_path, key, value, failure):
+    """A longitude rewrite that cites a missing relator, inserts out of range
+    or conjugates by an undeclared generator fails at its own move, the last
+    of the s=3 trace; verify trace exits 1 and names the move."""
+    data = trace_to_json(full_trace(run_pipeline(3)))
+    (step,) = data["moves"][48]["steps"]
+    assert data["moves"][48]["kind"] == "RewriteLongitude" and step[key] != value
+    step[key] = value
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data, indent=2))
+    proc = run_cli("verify", "trace", str(trace_file), "--check-abelian", "--format", "json")
+    assert proc.returncode == 1
+    assert_exact_json(proc, {"command": "verify trace", "file": str(trace_file),
+                             "moves": 49, "passed": False, **failure})
+    text = run_cli("verify", "trace", str(trace_file))
+    assert text.returncode == 1 and "Traceback" not in text.stderr
+    located = "FAIL move 48 RewriteLongitude [longitude_simplification]: "
+    assert (located in text.stdout) == ("failed_move" in failure)

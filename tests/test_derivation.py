@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -294,18 +296,34 @@ def _corrupted(move):
     """The move with one field changed so that its side condition fails."""
     if isinstance(move, AddGenerator):
         return dataclasses.replace(move, gen="c")  # c is never eliminated
-    if isinstance(move, RewriteLongitude):
+    if isinstance(move, RewriteLongitude) and move.steps is None:  # the v1 form
         return dataclasses.replace(move, new_word=move.new_word * W("c"))
+    if isinstance(move, RewriteLongitude):
+        (step,) = move.steps
+        return dataclasses.replace(move, steps=(dataclasses.replace(step, relator="nope"),))
     name = next(f.name for f in dataclasses.fields(move)
                 if f.name in ("via", "justified_by", "label", "old"))
     return dataclasses.replace(move, **{name: "nope"})
 
 
-def test_a_corrupted_move_fails_alike_in_derive_and_in_replay(monkeypatch):
-    """Corrupt each move of the s=3 derivation in turn.  Stepping the trace
-    through Replay, replaying it with replay_trace and deriving with the move
-    corrupted as it is stepped all stop at that move with the same check."""
-    trace = full_trace(run_pipeline(3))
+def v1_twin(trace):
+    """trace with each RewriteLongitude in the v1 form: the whole word its
+    replay reaches and the relator its one insertion cites."""
+    replay, moves = Replay(trace.start, trace.longitude_start), []
+    for move in trace.moves:
+        assert replay.step(move)
+        if isinstance(move, RewriteLongitude):
+            (step,) = move.steps
+            move = RewriteLongitude(new_word=replay.longitude, via=step.relator, macro=move.macro)
+        moves.append(move)
+    return dataclasses.replace(trace, moves=tuple(moves))
+
+
+def _corruptions_fail_alike(monkeypatch, trace):
+    """Corrupt each move of the s=3 trace in turn.  Stepping the trace through
+    Replay, replaying it with replay_trace and deriving with the corrupted
+    move stepped in place of the one derive emits all stop at that move with
+    the same check."""
     for k, move in enumerate(trace.moves):
         moves = trace.moves[:k] + (_corrupted(move),) + trace.moves[k + 1:]
         replayed = replay_trace(dataclasses.replace(trace, moves=moves)).first_failure()
@@ -315,9 +333,57 @@ def test_a_corrupted_move_fails_alike_in_derive_and_in_replay(monkeypatch):
 
         class CorruptingReplay(Replay):
             def step(self, m):
-                return super().step(_corrupted(m) if len(self.report.checks) == k else m)
+                return super().step(moves[k] if len(self.report.checks) == k else m)
 
         monkeypatch.setattr(derivation, "Replay", CorruptingReplay)
         with pytest.raises(MoveRejected) as rejected:
             derive(3)
         assert rejected.value.check == replayed, k
+
+
+def test_a_corrupted_move_fails_alike_in_derive_and_in_replay(monkeypatch):
+    """A longitude rewrite is corrupted by citing a missing relator in its insertion."""
+    _corruptions_fail_alike(monkeypatch, full_trace(run_pipeline(3)))
+
+
+def test_a_corrupted_v1_move_fails_alike_in_derive_and_in_replay(monkeypatch):
+    """The same on the v1 twin, whose longitude rewrites state their whole new
+    word; one is corrupted by a trailing letter c."""
+    _corruptions_fail_alike(monkeypatch, v1_twin(full_trace(run_pipeline(3))))
+
+
+V1_FIXTURES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_the_v1_twin_is_the_committed_v1_trace(s):
+    """The v1 trace files written before schema v2 are the v1 twins of today's traces."""
+    data = json.loads((V1_FIXTURES / f"trace_v1_s{s}.json").read_text(encoding="utf-8"))
+    assert data["v"] == 1
+    assert trace_from_json(data) == v1_twin(full_trace(run_pipeline(s)))
+
+
+def test_v1_and_v2_twins_reach_the_same_longitude():
+    """For s=3..40 a v2 trace and its v1 twin give the same report, check for
+    check, and step through the same longitude after every move; the twin
+    survives a JSON round trip, under either schema version."""
+    for s in range(3, 41):
+        trace = full_trace(run_pipeline(s))
+        twin = v1_twin(trace)
+        data = trace_to_json(twin)
+        assert data["v"] == 2 and trace_from_json(data) == twin
+        assert trace_from_json({**data, "v": 1}) == twin
+        replays = [Replay(t.start, t.longitude_start) for t in (trace, twin)]
+        for move, twin_move in zip(trace.moves, twin.moves):
+            assert replays[0].step(move) and replays[1].step(twin_move), s
+            assert replays[0].longitude == replays[1].longitude, (s, move)
+        reports = [r.finish(trace.end, trace.longitude_end) for r in replays]
+        assert reports[0].ok and reports[0].checks == reports[1].checks, s
+
+
+def test_trace_bytes_grow_linearly_in_s():
+    """A longitude rewrite cites one insertion, so doubling s at most about
+    doubles the emitted trace; restating the longitude made it 2.8 times."""
+    sizes = [len(json.dumps(trace_to_json(full_trace(run_pipeline(s))), indent=2))
+             for s in (40, 80)]
+    assert sizes[1] <= 2.2 * sizes[0]

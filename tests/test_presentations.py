@@ -1,11 +1,13 @@
 import copy
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,8 +259,27 @@ def test_rewrite_relator_and_rotation():
     rot = RotateRelator("r1", 2).apply(p)
     assert rot.relator("r1") == W("b A B a^-2")
     assert RotateRelator("r1", 0).apply(p) == p
-    with pytest.raises(SideConditionViolated):
+    with pytest.raises(SideConditionViolated, match="cannot be justified by the relator"):
         RewriteRelator("r1", (Insertion("r1", False, Word(), 0),)).apply(BASE)
+
+
+def test_rewrite_longitude_forms():
+    """A v2 longitude rewrite performs its insertions as a relator rewrite
+    does, and the v1 form stating the word it reaches accepts that word.  A
+    rewrite that states both, cites a missing relator or inserts out of
+    range fails its side condition."""
+    lon, step = W("a b"), Insertion("r2", True, W("b"), 1)
+    new = RewriteLongitude((step,)).delta(BASE, lon).longitude
+    assert new == step.perform(lon, BASE) == W("a b a^-3")  # a (b a^-3 b^-1) b
+    assert RewriteLongitude(new_word=new, via="r2").delta(BASE, lon).longitude == new
+    for bad, reason in ((RewriteLongitude((step,), new_word=new, via="r2"), "not both"),
+                        (RewriteLongitude((replace(step, relator="r9"),)), "no relator labeled"),
+                        (RewriteLongitude((replace(step, position=3),)), "out of range"),
+                        (RewriteLongitude(new_word=new * W("a"), via="r2"), "single consequence")):
+        with pytest.raises(SideConditionViolated, match=reason):
+            bad.delta(BASE, lon)
+    with pytest.raises(SideConditionViolated, match="no longitude is being tracked"):
+        RewriteLongitude((step,)).delta(BASE, None)
 
 
 def test_remove_relator_variants():
@@ -322,10 +343,26 @@ def test_trace_json_round_trip():
         lon = delta.longitude
     trace = DerivationTrace(BASE, moves, p, W("a b"), lon)
     data = trace_to_json(trace)
-    assert data["v"] == 1
+    assert data["v"] == 2
     again = trace_from_json(data)
     assert again == trace
     assert replay_trace(again).ok
+
+
+def test_a_start_longitude_with_an_undeclared_generator_fails_at_move_0():
+    """The check that the longitude uses only declared generators runs after
+    every move, also one that changes neither the longitude nor the
+    generators, so a bad start longitude fails the first move."""
+    moves = (RotateRelator("r1", 1), RotateRelator("r1", 1))
+    p = BASE
+    for mv in moves:
+        p = mv.apply(p)
+    for check_abelian in (False, True):
+        report = replay_trace(DerivationTrace(BASE, moves, p, W("a z"), W("a z")), check_abelian)
+        failure = report.first_failure()
+        assert (failure.index, failure.reason) == (
+            0, "longitude uses a generator absent from the presentation")
+        assert report.detail == "move 0 broke the longitude" and len(report.checks) == 1
 
 
 def test_trace_from_json_names_the_bad_field():
@@ -349,7 +386,20 @@ def test_trace_from_json_names_the_bad_field():
              (not_a_label, "move 0: field 'label': expected a string"),
              (mistyped, "start: "),
              (not_an_object, "field 'end' is missing or not a dict"),
-             (unknown, "move 0: unknown move kind 'Frobnicate'")]
+             (unknown, "move 0: unknown move kind 'Frobnicate'"),
+             ({**data, "v": True}, "unsupported trace schema version True")]
+    # a RewriteLongitude holds all of one form: its steps from v2 on, or
+    # its new word and the relator that justifies it, as in v1
+    for version, rewrite, named in (
+            (2, {"steps": "a"}, "move 3: field 'steps': expected a list, got 'a'"),
+            (1, {"steps": []}, "move 3 has no field 'new_word'"),
+            (2, {"new_word": "a"}, "move 3 has no field 'via'"),
+            (2, {"new_word": "a", "via": None}, "move 3: field 'via': expected a string, got None"),
+            (1, {"new_word": None, "via": "r1"}, "move 3: field 'new_word': word text must be")):
+        doc = copy.deepcopy(data)
+        doc["v"] = version
+        doc["moves"].append({"kind": "RewriteLongitude", **rewrite})
+        cases.append((doc, named))
     # JSON types are checked, not coerced: an integer is no float, bool or
     # string, a flag is a JSON boolean, a generator list is a list, and a
     # longitude that is not null is a word
@@ -617,11 +667,12 @@ def _field_mutants(value, labels):
     return [labels[0], labels[:1]]  # None, an optional field left unset
 
 
-def _move_mutants(trace):
-    """(i, move) for every decodable move that differs from move i of trace
-    in one field of its JSON, an insertion's fields included, or in its kind."""
+def _move_mutants(data):
+    """(i, move) for every decodable move that differs from move i of the
+    trace document data in one field of its JSON, an insertion's fields
+    included, or in its kind; each is decoded as of data's schema version."""
     labels = ["r1", "r_inf", "nope"]
-    for i, move in enumerate(trace_to_json(trace)["moves"]):
+    for i, move in enumerate(copy.deepcopy(data["moves"])):
         places = [(move, key) for key in move]
         for step in move.get("steps", []) + move.get("derivation", []):
             places += [(step, key) for key in step]
@@ -632,7 +683,7 @@ def _move_mutants(trace):
                 old = holder[key]
                 holder[key] = value
                 try:
-                    yield i, move_from_json(copy.deepcopy(move))
+                    yield i, move_from_json(copy.deepcopy(move), data["v"])
                 except (KeyError, PresentationError, TypeError, ValueError):
                     pass
                 holder[key] = old
@@ -649,22 +700,29 @@ def _replayed_from(replay, moves, trace):
 
 
 MUTANT_REPORTS_SHA256 = "25efb0829aa502c46dd628ced2fb798049efe130329b223732b834f681000098"
+V2_MUTANT_REPORTS_SHA256 = "9dba7df033e08f07a30b3ca6d86d8998c04b82e0fd98e6a5fb9f53b6f39bd9c8"
+
+DATA = Path(__file__).parent / "data"
 
 
-def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
-    """Replaying with H1 recomputed after every move, as when no move has a
-    shadow, gives the same Report, check for check, as the shadow path, on
-    every trace that differs from the s=3 or s=5 trace in one move field.
-    No replay raises, none fails before the mutated move, and the printed
-    reports, in order, hash to the digest they had when it was recorded."""
+def _v1_trace_document(s):
+    """The committed s trace as derive --emit-trace wrote it in schema v1."""
+    return json.loads((DATA / f"trace_v1_s{s}.json").read_text(encoding="utf-8"))
+
+
+def _mutant_reports(monkeypatch, documents):
+    """Replay every single-field mutant of each trace document with and
+    without the shadow; assert the two Reports agree, that no replay raises
+    and that none fails before the mutated move.  Returns the mutant count,
+    the outcome tally and the sha256 of the printed reports, in order."""
     mutants, raised, outcomes = 0, [], Counter()
     digest = hashlib.sha256()
-    for s in (3, 5):
-        trace = full_trace(run_pipeline(s))
+    for data in documents:
+        trace = trace_from_json(data)
         shadowed, forced = (Replay(trace.start, trace.longitude_start, check_abelian=True)
                             for _ in range(2))
         stepped = 0
-        for i, mutant in _move_mutants(trace):
+        for i, mutant in _move_mutants(data):
             for move in trace.moves[stepped:i]:
                 assert shadowed.step(move)
                 with monkeypatch.context() as patch:
@@ -679,21 +737,47 @@ def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
                     patch.setattr(presentations, "_moved_rows", no_shadow)
                     fresh = _replayed_from(forced, moves, trace)
             except Exception as exc:  # noqa: BLE001 - a replay must never raise
-                raised.append((s, i, mutant, exc))
+                raised.append((i, mutant, exc))
                 continue
             assert (with_shadow.checks, with_shadow.detail) == (fresh.checks, fresh.detail), \
-                (s, i, mutant)
+                (i, mutant)
             digest.update(str(with_shadow).encode() + b"\n")
             failure = with_shadow.first_failure()
             if failure is None or failure.index is None:
                 outcomes["pass" if failure is None else "end"] += 1
             else:
-                assert failure.index >= i, (s, i, mutant)
+                assert failure.index >= i, (i, mutant)
                 outcomes["own" if failure.index == i else "later"] += 1
     assert raised == []
+    return mutants, outcomes, digest.hexdigest()
+
+
+def test_forced_fallback_gives_the_same_report_on_every_mutant(monkeypatch):
+    """Replaying with H1 recomputed after every move, as when no move has a
+    shadow, gives the same Report, check for check, as the shadow path, on
+    every trace that differs from the committed v1 s=3 or s=5 trace in one
+    move field.  The printed reports, in order, hash to the digest they had
+    when it was recorded, before schema v2."""
+    mutants, outcomes, digest = _mutant_reports(
+        monkeypatch, [_v1_trace_document(s) for s in (3, 5)])
     assert mutants == 1774 > 1000
     assert outcomes == {"own": 934, "later": 158, "end": 24, "pass": 658}
-    assert digest.hexdigest() == MUTANT_REPORTS_SHA256
+    assert digest == MUTANT_REPORTS_SHA256
+
+
+def test_forced_fallback_gives_the_same_report_on_every_v2_mutant(monkeypatch):
+    """The same over the v2 s=3 and s=5 traces, whose longitude rewrites
+    cite insertions.  An insertion of any conjugate of any relator is a
+    sound rewrite, so a mutant step that still performs changes the
+    longitude without failing its own move; the end longitude check, or a
+    later move, catches the change, and where the later moves eliminate
+    what it changed (the opening's rewrites of b g to h, before b goes
+    away) the mutant trace is a proof too and passes."""
+    documents = [trace_to_json(full_trace(run_pipeline(s))) for s in (3, 5)]
+    mutants, outcomes, digest = _mutant_reports(monkeypatch, documents)
+    assert mutants == 1892 > 1000
+    assert outcomes == {"own": 856, "later": 164, "end": 98, "pass": 774}
+    assert digest == V2_MUTANT_REPORTS_SHA256
 
 
 def test_forced_fallback_and_shadow_soundness_on_random_moves(monkeypatch):
