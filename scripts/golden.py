@@ -49,11 +49,17 @@ def _corrupt_longitude(data):
     data["longitude_end"] += " c"
 
 
+def _corrupt_both_ends(data):
+    _corrupt_end(data)
+    _corrupt_longitude(data)
+
+
 # failing traces: name -> (the passing trace it is made from, the corruption)
 FAILING_TRACES = {
     "bad_move_s3.json": ("trace_s3.json", _corrupt_move),
     "bad_end_s3.json": ("trace_s3.json", _corrupt_end),
     "bad_longitude_s3.json": ("trace_s3.json", _corrupt_longitude),
+    "bad_ends_s3.json": ("trace_s3.json", _corrupt_both_ends),
 }
 
 # trace files committed under tests/data, copied into the run directory:
@@ -120,6 +126,10 @@ def grid() -> list[tuple[list[str], bool]]:
         add(fast, "abelianize", name, "--format", "json")
         add(fast, "h1", "--s", s, f"--slope={slope}")
         add(fast, "h1", "--s", s, f"--slope={slope}", "--format", "json")
+    # large slopes: the filling word c^p L^q would have O(p + q|L|) letters
+    for argv in (["--s", 3, "--slope", "100001/1000"], ["--s", 5, "--slope=-1000000007/2"]):
+        add(True, "h1", *argv)
+        add(True, "h1", *argv, "--format", "json")
     for name in PRESENTATIONS:
         add(True, "abelianize", name)
         add(True, "abelianize", name, "--format", "json")

@@ -244,13 +244,18 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     return Insertion(label, witness["inverted"], conj, pos)
 
 
-def _first_replacement(word: Word, old: Word, new: Word, via: str, p: Presentation,
-                       where: str) -> Insertion:
-    """Insertion that swaps the first occurrence of old in word for new."""
+def _first_position(word: Word, old: Word, where: str) -> int:
     pos = word.find(old)
     if pos < 0:
         raise DerivationError(f"{old} does not occur in {where} {word}")
-    return _replacement_insertion(word, pos, old, new, via, p.relator(via))
+    return pos
+
+
+def _first_replacement(word: Word, old: Word, new: Word, via: str, p: Presentation,
+                       where: str) -> Insertion:
+    """Insertion that swaps the first occurrence of old in word for new."""
+    return _replacement_insertion(word, _first_position(word, old, where), old, new, via,
+                                  p.relator(via))
 
 
 def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
@@ -290,10 +295,6 @@ def run_pipeline(s: int) -> PipelineResult:
         p, lon = replay.presentation, replay.longitude
         moves.append(move)
 
-    def rewrite_longitude(old: Word, new: Word, via: str, macro: str):
-        ins = _first_replacement(lon, old, new, via, p, "the longitude")
-        do(RewriteLongitude((ins,), macro=macro))
-
     for move in tunnel_moves(s):
         do(move)
 
@@ -307,9 +308,15 @@ def run_pipeline(s: int) -> PipelineResult:
     do(AddGenerator("h", _gen("a") * _gen("f"), "r7", macro=macro))
     do(_rewrite_relator(p, "r6", Word((("f", -1), ("a", -1))), _gen("h", -1),
                         "r7", macro))
-    rewrite_longitude(_gen("a") * _gen("f"), _gen("h"), "r7", macro)
+    ins = _first_replacement(lon, _gen("a") * _gen("f"), _gen("h"), "r7", p, "the longitude")
+    do(RewriteLongitude((ins,), macro=macro))
+    # each bg -> h inserts the same conjugate of r6; only its position moves
+    bg, ins = _gen("b") * _gen("g"), None
     for _ in range(2 * s - 1):
-        rewrite_longitude(_gen("b") * _gen("g"), _gen("h"), "r6", macro)
+        pos = _first_position(lon, bg, "the longitude")
+        ins = (replace(ins, position=pos) if ins else
+               _replacement_insertion(lon, pos, bg, _gen("h"), "r6", p.relator("r6")))
+        do(RewriteLongitude((ins,), macro=macro))
     do(SubstituteEverywhere("b", _gen("h") * _gen("g", -1), "r6",
                             only_in=("r_inf",), macro=macro))
 

@@ -582,10 +582,10 @@ class Report:
     def add(self, name: str, ok: bool, reason: str = "", index: Optional[int] = None,
             detail: str = "") -> bool:
         """Record a check.  Only when it fails is its reason kept and, if
-        given, detail made the report's detail."""
+        given, detail joined to the report's detail with "; "."""
         self.checks.append(Check(name, ok, "" if ok else reason, index))
         if not ok and detail:
-            self.detail = detail
+            self.detail = f"{self.detail}; {detail}" if self.detail else detail
         return ok
 
     def first_failure(self) -> Optional[Check]:

@@ -5,6 +5,13 @@ longitude L the simplified null-homologous word.  M and L commute (they
 live on the boundary torus), so identities among peripheral elements are
 decided exactly in Z^2 modulo the sublattice generated by (p, q); no
 word search in the group is ever needed for them.
+
+|H_1| of a filling never needs the filling word either.  Exponent sums add
+under products and survive free reduction, so c^p L^q abelianizes to
+p*row(c) + q*row(L), and h1_order (which `h1`, `nlo` and certificate
+replay use) costs the same for every slope.  surgered_presentation still
+builds L^q by repeated multiplication, for the `surgery` command; so does
+the `power` rule of the orderability engine.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derivation import check_s, final_relator, longitude_word
+from .derivation import check_s, final_relator, knot_group_presentation, longitude_word
 from .presentations import Presentation, Report
-from .smith import group_order
+from .smith import group_order, sparse_invariants
 from .words import Word
 
 
@@ -145,5 +152,13 @@ def surgered_presentation(s: int, slope: Slope) -> Presentation:
 
 
 def h1_order(s: int, slope: Slope) -> int:
-    """|H_1| of the filled manifold; 0 means infinite."""
-    return group_order(surgered_presentation(s, slope).abelian_invariants())
+    """|H_1| of the filled manifold; 0 means infinite.
+
+    The same group as surgered_presentation(s, slope).abelian_invariants()
+    gives, from the rows r_inf and p*row(c) + q*row(L) of its relators.
+    """
+    knot = knot_group_presentation(s)
+    r_inf, meridian, longitude = knot.exponent_rows(Word.generator("c"), longitude_word(s))
+    filling = {j: e for j in meridian.keys() | longitude.keys()
+               if (e := slope.p * meridian.get(j, 0) + slope.q * longitude.get(j, 0))}
+    return group_order(sparse_invariants([r_inf, filling], len(knot.generators)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pretzel_pi1 import __version__, cli, derivation
+from pretzel_pi1 import __version__, cli, derivation, surgery
 from pretzel_pi1.derivation import full_trace, run_pipeline
 from pretzel_pi1.presentations import trace_to_json
 
@@ -110,6 +110,11 @@ def _corrupt_longitude(data):
     data["longitude_end"] += " c"
 
 
+def _corrupt_both_ends(data):
+    _corrupt_end(data)
+    _corrupt_longitude(data)
+
+
 def _corrupt_added_generator(data):
     data["moves"][0]["gen"] = "A"
 
@@ -138,6 +143,8 @@ def test_derive_exits_one_when_a_pipeline_move_is_rejected(monkeypatch, capsys, 
     (_corrupt_end, 1, {"detail": "end presentation does not match"}),
     (_corrupt_longitude, 1, {"detail": "end longitude does not match"}),
     (_corrupt_added_generator, 1, {"detail": "move 0 failed", "failed_move": 0}),
+    (_corrupt_both_ends, 1,
+     {"detail": "end presentation does not match; end longitude does not match"}),
 ])
 def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
     data = trace_to_json(full_trace(run_pipeline(3)))
@@ -149,6 +156,19 @@ def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
     assert proc.returncode == code
     assert_exact_json(proc, {"command": "verify trace", "file": str(trace_file),
                              "moves": 49, "passed": not failure, **failure})
+
+
+def test_verify_trace_text_names_both_failing_end_checks(tmp_path):
+    data = trace_to_json(full_trace(run_pipeline(3)))
+    _corrupt_both_ends(data)
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data, indent=2))
+    proc = run_cli("verify", "trace", str(trace_file))
+    assert proc.returncode == 1
+    *_, presentation, longitude, verdict = proc.stdout.splitlines()
+    assert presentation.startswith("  FAIL end presentation")
+    assert longitude.startswith("  FAIL end longitude")
+    assert verdict == "FAIL -- end presentation does not match; end longitude does not match"
 
 
 def test_verify_trace_round_trip(tmp_path):
@@ -205,6 +225,30 @@ def test_h1_output():
     proc = run_cli("h1", "--s", "4", "--slope", "23/1", "--format", "json",
                    check=True)
     assert json.loads(proc.stdout)["order"] == 23
+
+
+def _no_filling_word(s, slope):
+    raise AssertionError(f"built the filling word of s={s} slope={slope}")
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["h1", "--s", "3", "--slope", "100001/1000"], "100001"),
+    (["h1", "--s", "3", "--slope=1000000007/1"], "1000000007"),
+])
+def test_h1_builds_no_filling_word(monkeypatch, capsys, argv, out):
+    """h1 reads |H1| from exponent rows: a filling word of 10^9 letters is
+    never built, so these answer at once."""
+    monkeypatch.setattr(surgery, "surgered_presentation", _no_filling_word)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
+def test_nlo_builds_no_filling_word(monkeypatch, capsys):
+    """nlo and its certificate replay cite |H1| without building the filling,
+    here on a slope of the dearest slope_ladder stratum of the benchmark."""
+    monkeypatch.setattr(surgery, "surgered_presentation", _no_filling_word)
+    assert cli.main(["nlo", "--s", "5", "--slope", "5675/162", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["replay"] == "OK"
 
 
 def test_abelianize_file(tmp_path):

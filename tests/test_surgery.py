@@ -17,6 +17,7 @@ from pretzel_pi1.surgery import (
     verify_lemma_k,
 )
 from pretzel_pi1.derivation import longitude_word
+from pretzel_pi1.smith import group_order
 from pretzel_pi1.words import Word, W
 
 
@@ -95,9 +96,20 @@ def test_surgered_presentation_s3_19():
 
 
 def test_h1_grid():
-    for s in range(3, 9):
-        for slope in (Slope(19, 1), Slope(23, 1), Slope(39, 2), Slope(37, 2)):
-            assert h1_order(s, slope) == abs(slope.p)
+    """h1_order, read from exponent rows, agrees with abelianizing the filling
+    relator c^p L^q that surgered_presentation builds, on slopes either side
+    of the bound (4s+7)q."""
+    for s in range(3, 13):
+        for q in range(1, 13):
+            bound = (4 * s + 7) * q
+            for p in (-bound - 1, -1, 0, 1, bound - 1, bound, bound + 1):
+                if math.gcd(abs(p), q) != 1:
+                    continue
+                slope = Slope(p, q)
+                order = h1_order(s, slope)
+                assert order == abs(p)
+                assert order == group_order(
+                    surgered_presentation(s, slope).abelian_invariants())
 
 
 def test_h1_zero_slope_is_infinite():
