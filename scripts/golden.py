@@ -147,6 +147,10 @@ def grid() -> list[tuple[list[str], bool]]:
     add(False, "verify", "induction", "--s", 4)
     add(True, "parse", "clcLCL^-3CLclcl^2", "--format", "json")
     add(True, "parse", "c l^-3 C")
+    # an exponent past sys.maxsize is a usage error, not an OverflowError
+    for argv in (["parse", f"c^{2 ** 64}"], ["surgery", "--s", 3, "--slope", f"{2 ** 64}/1"]):
+        add(True, *argv)
+        add(True, *argv, "--format", "json")
     return cases
 
 

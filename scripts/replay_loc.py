@@ -29,6 +29,8 @@ NAMES = (
     "_require", "Move", "Delta", "_moved_rows", "_json_type",
     # one rule for the insertions of relator and longitude rewrites
     "_inserted",
+    # the one name-keyed exponent row, public since surgery reads H1 from it
+    "exponent_row", "row_plus",
 )
 
 

@@ -83,15 +83,14 @@ class Delta:
 class Presentation:
     """A presentation; the constructor checks every generator and relator.
 
-    Alongside the fields it keeps, by label in relator order, each relator's
-    word and its generator set.  A move builds its result with `moved`,
-    which checks only what the move's Delta names and carries the rest over.
+    Alongside the fields it keeps each relator's word by label, in relator
+    order.  A move builds its result with `moved`, which checks only what
+    the move's Delta names and carries the rest over.
     """
     generators: tuple[str, ...]
     relators: tuple[tuple[str, Word], ...]
     provenance: Optional[str] = None
     _words: dict = field(init=False, repr=False)  # label -> word
-    _uses: dict = field(init=False, repr=False)   # label -> set of its generators
     _generator_set: frozenset = field(init=False, repr=False)  # the generators, as a set
 
     def __post_init__(self):
@@ -102,16 +101,15 @@ class Presentation:
             if g in seen:
                 raise PresentationError(f"duplicate generator: {g!r}")
             seen.add(g)
+        declared = frozenset(seen)
         words: dict[str, Word] = {}
-        uses: dict[str, set[str]] = {}
         for label, word in self.relators:
             if self._new_label(label) in words:
                 raise PresentationError(f"duplicate relator label: {label!r}")
-            uses[label] = self._declared(label, word.generators(), seen)
+            self._declared(label, word, declared)
             words[label] = word
         object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_uses", uses)
-        object.__setattr__(self, "_generator_set", frozenset(seen))
+        object.__setattr__(self, "_generator_set", declared)
 
     @staticmethod
     def _new_label(label: str) -> str:
@@ -120,13 +118,12 @@ class Presentation:
         return label
 
     @staticmethod
-    def _declared(label: str, used: set[str], declared: set[str]) -> set[str]:
-        """used, the generators of relator label, once checked to be declared."""
-        undeclared = used - declared
+    def _declared(label: str, word: Word, declared: frozenset) -> None:
+        """Check that relator label, word, uses declared generators only."""
+        undeclared = word.generators() - declared
         if undeclared:
             raise PresentationError(
                 f"relator {label} uses undeclared generators {sorted(undeclared)}")
-        return used
 
     def moved(self, delta: Delta) -> "Presentation":
         """The presentation delta makes of this one, or this one itself when
@@ -140,22 +137,20 @@ class Presentation:
         declared = self._generator_set if delta.generators is None else frozenset(generators)
         if delta.renamed is not None and self._new_label(delta.renamed[1]) in self._words:
             raise PresentationError(f"duplicate relator label: {delta.renamed[1]!r}")
-        uses = delta.apply_to(self._uses, {
-            label: self._declared(label if label in self._words else self._new_label(label),
-                                  word.generators(), declared)
-            for label, word in delta.words.items()})
+        for label, word in delta.words.items():
+            self._declared(label if label in self._words else self._new_label(label),
+                           word, declared)
+        words = delta.apply_to(self._words, delta.words)
         if delta.generators is not None:
             removed = self._generator_set - declared
-            for label, used in uses.items():
-                if not removed.isdisjoint(used):
-                    self._declared(label, used, declared)
-        words = delta.apply_to(self._words, delta.words)
+            for label, word in words.items():
+                if not removed.isdisjoint(word.generators()):
+                    self._declared(label, word, declared)
         new = object.__new__(Presentation)
         object.__setattr__(new, "generators", generators)
         object.__setattr__(new, "relators", tuple(words.items()))
         object.__setattr__(new, "provenance", self.provenance)
         object.__setattr__(new, "_words", words)
-        object.__setattr__(new, "_uses", uses)
         object.__setattr__(new, "_generator_set", declared)
         return new
 
@@ -182,7 +177,7 @@ class Presentation:
 
     def labels_with(self, gen: str) -> set[str]:
         """The labels of the relators in which gen occurs."""
-        return {label for label, used in self._uses.items() if gen in used}
+        return {label for label, word in self._words.items() if gen in word.generators()}
 
     def replace(self, **changes) -> "Presentation":
         data = {"generators": self.generators, "relators": self.relators,
@@ -192,32 +187,20 @@ class Presentation:
 
     # -- abelianization ----------------------------------------------
 
-    def exponent_rows(self, *words: Word) -> list[smith.Row]:
-        """One sparse row {generator index: exponent sum}, zeros left out, per
-        relator and then per extra word."""
-        index = {g: j for j, g in enumerate(self.generators)}
-        rows = []
-        for word in [w for _, w in self.relators] + list(words):
-            row: smith.Row = {}
-            for name, e in _exponent_sums(word).items():
-                j = index.get(name)
-                if j is None:
-                    raise PresentationError(f"word uses undeclared generator {name!r}")
-                if e:
-                    row[j] = e
-            rows.append(row)
-        return rows
-
     def abelian_invariants(self) -> tuple[int, ...]:
-        return smith.sparse_invariants(self.exponent_rows(), len(self.generators))
+        return smith.sparse_invariants(_rows(self).values(), len(self.generators))
 
     def null_homologous(self, word: Word) -> bool:
         """Whether word is 0 in H1, that is whether adding it as a relator
         leaves the invariant factors unchanged.  This is exact: a finitely
         generated abelian group G has G/<w> isomorphic to G only when w = 0."""
-        rows = self.exponent_rows(word)
+        undeclared = word.generators() - self._generator_set
+        if undeclared:
+            raise PresentationError(f"word uses undeclared generators {sorted(undeclared)}")
+        rows = list(_rows(self).values())
         n = len(self.generators)
-        return smith.sparse_invariants(rows, n) == smith.sparse_invariants(rows[:-1], n)
+        return (smith.sparse_invariants(rows + [exponent_row(word)], n)
+                == smith.sparse_invariants(rows, n))
 
     # -- text format ----------------------------------------------------
 
@@ -252,14 +235,6 @@ class Presentation:
         return Presentation(generators, tuple(relators))
 
 
-def _exponent_sums(word: Word) -> dict[str, int]:
-    """{generator name: exponent sum} over the generators word uses, zeros kept."""
-    sums: dict[str, int] = {}
-    for (name, sign), count in Counter(word.letters).items():
-        sums[name] = sums.get(name, 0) + sign * count
-    return sums
-
-
 def solve_for(word: Word, gen: str) -> Word:
     """Solve relator == 1 for its unique occurrence of gen."""
     hits = [i for i, (name, _) in enumerate(word.letters) if name == gen]
@@ -271,20 +246,25 @@ def solve_for(word: Word, gen: str) -> Word:
     return ~vu if word.letters[i][1] > 0 else vu
 
 
-# -- moves ----------------------------------------------------------------
+# -- exponent rows ----------------------------------------------------------
 #
-# Exponent rows here are keyed by generator name, {name: nonzero exponent sum},
-# so a row keeps its meaning when a move adds or removes a generator.
+# The abelian image of a word is its exponent row {generator name: exponent
+# sum}, zeros left out.  Keyed by name, a row keeps its meaning when a move
+# adds or removes a generator.
 
-def _row(word: Word) -> dict[str, int]:
-    return {name: e for name, e in _exponent_sums(word).items() if e}
+def exponent_row(word: Word) -> dict[str, int]:
+    row: dict[str, int] = {}
+    for (name, sign), count in Counter(word.letters).items():
+        row[name] = row.get(name, 0) + sign * count
+    return {name: e for name, e in row.items() if e}
 
 
 def _rows(p: Presentation) -> dict[str, dict[str, int]]:
-    return {label: _row(word) for label, word in p.relators}
+    """The exponent rows of p's relators, by label in relator order."""
+    return {label: exponent_row(word) for label, word in p.relators}
 
 
-def _plus(row: Optional[dict], other: Optional[dict], k: int) -> Optional[dict]:
+def row_plus(row: Optional[dict], other: Optional[dict], k: int) -> Optional[dict]:
     """row + k * other, zeros left out; None if either is None."""
     if row is None or other is None:
         return None
@@ -293,6 +273,8 @@ def _plus(row: Optional[dict], other: Optional[dict], k: int) -> Optional[dict]:
         out[name] = out.get(name, 0) + k * e
     return {name: e for name, e in out.items() if e}
 
+
+# -- moves ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Insertion:
@@ -336,13 +318,13 @@ class AddGenerator(Move):
         _require(self, is_generator_name(self.gen), f"bad generator name {self.gen!r}")
         _require(self, self.gen not in p.generators, f"generator {self.gen!r} already present")
         _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
-        _require(self, self.definition.generators() <= set(p.generators),
+        _require(self, self.definition.generators() <= p._generator_set,
                  "definition uses undeclared generators")
         return Delta({self.label: Word.generator(self.gen) * ~self.definition},
                      generators=p.generators + (self.gen,), longitude=longitude)
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
-        row = _plus({self.gen: 1}, _row(self.definition), -1)
+        row = row_plus({self.gen: 1}, exponent_row(self.definition), -1)
         fresh = self.gen not in p.generators and self.label not in rows
         return Delta({self.label: row if fresh and row.get(self.gen) in (1, -1) else None},
                      generators=p.generators + (self.gen,))
@@ -403,7 +385,7 @@ class SubstituteEverywhere(Move):
         pivot = rows.get(self.justified_by, {})
         sigma = pivot.get(self.gen)
         return Delta(None if sigma not in (1, -1) else {
-            label: _plus(rows[label], pivot, -rows[label].get(self.gen, 0) * sigma)
+            label: row_plus(rows[label], pivot, -rows[label].get(self.gen, 0) * sigma)
             for label in self._targets(p)})
 
 
@@ -416,7 +398,7 @@ class AddRelator(Move):
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
-        _require(self, self.word.generators() <= set(p.generators),
+        _require(self, self.word.generators() <= p._generator_set,
                  "relator uses undeclared generators")
         derived = _inserted(self, Word(), self.derivation, p)
         _require(self, derived == self.word, f"derivation yields {derived}, declared {self.word}")
@@ -448,7 +430,7 @@ class RewriteRelator(Move):
         row = rows.get(self.label)
         for step in self.steps:
             cited = rows.get(step.relator) if step.relator != self.label else None
-            row = _plus(row, cited, -1 if step.inverted else 1)
+            row = row_plus(row, cited, -1 if step.inverted else 1)
         return Delta({self.label: row})
 
 
@@ -498,7 +480,7 @@ class InvertRelator(Move):
         return Delta({self.label: ~_checked(self, p.relator, self.label)}, longitude=longitude)
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
-        return Delta({self.label: _plus({}, rows.get(self.label), -1)})
+        return Delta({self.label: row_plus({}, rows.get(self.label), -1)})
 
 
 @dataclass(frozen=True)
@@ -610,7 +592,7 @@ def _moved_rows(move: Move, p: Presentation, delta: Delta, rows: dict) -> Option
     """rows, the exponent rows of p by label, moved by delta, if delta read
     in rows is the abelian shadow of move; else None."""
     shadow = move.shadow(p, rows)
-    if shadow != Delta({label: _row(word) for label, word in delta.words.items()},
+    if shadow != Delta({label: exponent_row(word) for label, word in delta.words.items()},
                        delta.dropped, delta.renamed, delta.generators):
         return None
     return shadow.apply_to(rows, shadow.words)

@@ -3,16 +3,19 @@
 Everything runs on Python's arbitrary-precision integers; surgery
 coefficients can be large and overflow must be impossible.  Invariant
 factors are computed on sparse rows: unit pivots are eliminated first,
-and only the core they leave reaches the dense Smith normal form.
+and only the core they leave reaches the dense Smith normal form.  The
+rows of a presentation are its exponent rows, keyed by generator name
+(presentations.exponent_row); any sortable column key will do, since
+the invariant factors do not depend on the order of the columns.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from typing import Any, Iterable
 
 Matrix = list[list[int]]
-Row = dict[int, int]  # column index -> nonzero entry
+Row = dict[Any, int]  # column key, of any sortable type -> nonzero entry
 
 
 def smith_normal_form(matrix: Matrix) -> list[int]:
@@ -76,8 +79,8 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
 
 
 def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]:
-    """Invariant factors of Z^n modulo the lattice spanned by sparse rows;
-    0 encodes a Z factor.
+    """Invariant factors of Z^n modulo the lattice spanned by sparse rows,
+    whose keys name at most n columns; 0 encodes a Z factor.
 
     A +-1 entry at row r, column j removes row r and generator j: row
     operations clear column j in the other rows, after which row r splits
@@ -87,7 +90,7 @@ def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]
     dropped.
     """
     rows = [dict(row) for row in rows if row]
-    where: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows using it
+    where: defaultdict[Any, set[int]] = defaultdict(set)  # column -> rows using it
     for i, row in enumerate(rows):
         for j in row:
             where[j].add(i)

@@ -8,10 +8,12 @@ word search in the group is ever needed for them.
 
 |H_1| of a filling never needs the filling word either.  Exponent sums add
 under products and survive free reduction, so c^p L^q abelianizes to
-p*row(c) + q*row(L), and h1_order (which `h1`, `nlo` and certificate
-replay use) costs the same for every slope.  surgered_presentation still
-builds L^q by repeated multiplication, for the `surgery` command; so does
-the `power` rule of the orderability engine.
+p*row(c) + q*row(L), where row is presentations.exponent_row, the one
+name-keyed row that every H_1 here is read from.  So h1_order (which `h1`,
+`nlo` and certificate replay use) costs the same for every slope.
+surgered_presentation still builds L^q by repeated multiplication, for
+the `surgery` command; so does the `power` rule of the orderability
+engine.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derivation import check_s, final_relator, knot_group_presentation, longitude_word
-from .presentations import Presentation, Report
+from .derivation import check_s, final_relator, longitude_word
+from .presentations import Presentation, Report, exponent_row, row_plus
 from .smith import group_order, sparse_invariants
 from .words import Word
 
@@ -155,10 +157,9 @@ def h1_order(s: int, slope: Slope) -> int:
     """|H_1| of the filled manifold; 0 means infinite.
 
     The same group as surgered_presentation(s, slope).abelian_invariants()
-    gives, from the rows r_inf and p*row(c) + q*row(L) of its relators.
+    gives, from the exponent rows of its relators: row(r_inf), and
+    p*row(c) + q*row(L) for the filling.
     """
-    knot = knot_group_presentation(s)
-    r_inf, meridian, longitude = knot.exponent_rows(Word.generator("c"), longitude_word(s))
-    filling = {j: e for j in meridian.keys() | longitude.keys()
-               if (e := slope.p * meridian.get(j, 0) + slope.q * longitude.get(j, 0))}
-    return group_order(sparse_invariants([r_inf, filling], len(knot.generators)))
+    r_inf = exponent_row(final_relator(s))
+    filling = row_plus({"c": slope.p}, exponent_row(longitude_word(s)), slope.q)
+    return group_order(sparse_invariants([r_inf, filling], 2))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -32,6 +33,13 @@ Letter = tuple[str, int]
 
 class WordError(ValueError):
     """Malformed word text or invalid generator name."""
+
+
+def _run(exp: int) -> int:
+    """The letter count of a run of exponent exp, if a tuple can hold it."""
+    if abs(exp) > sys.maxsize:
+        raise WordError(f"exponent {exp} is too large: a run has at most {sys.maxsize} letters")
+    return abs(exp)
 
 
 def is_generator_name(name: str) -> bool:
@@ -93,7 +101,7 @@ class Word:
     def from_syllables(syllables: Iterable[tuple[str, int]]) -> "Word":
         """The product of the runs name^exp; each run is reduced, so they are
         spliced, reduced only at the seams."""
-        return Word._reduced(_splice_letters(((name, 1 if exp > 0 else -1),) * abs(exp)
+        return Word._reduced(_splice_letters(((name, 1 if exp > 0 else -1),) * _run(exp)
                                              for name, exp in syllables))
 
     # -- basic protocol ----------------------------------------------
@@ -357,7 +365,7 @@ def _token(token: str) -> tuple[str, int, int]:
             raise WordError(f"zero exponent in token: {token!r}")
         if upper and exp > 0:
             raise WordError(f"ambiguous token {token!r}: uppercase with positive exponent")
-    return base, 1 if exp > 0 else -1, abs(exp)
+    return base, 1 if exp > 0 else -1, _run(exp)
 
 
 def _parse_token(token: str) -> tuple[Letter, ...]:

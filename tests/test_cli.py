@@ -187,6 +187,13 @@ def test_verify_trace_round_trip(tmp_path):
     assert json.loads(proc.stdout)["passed"] is False
 
 
+def too_large(exp):
+    """The usage error of a run of exp letters.  2^64 is past sys.maxsize, so
+    such a run is refused before any tuple is built; a smaller count such as
+    10^9 would really be allocated."""
+    return f"exponent {exp} is too large: a run has at most {sys.maxsize} letters\n"
+
+
 def test_verify_trace_malformed_is_a_usage_error(tmp_path):
     trace_file = tmp_path / "trace.json"
     run_cli("derive", "--s", "3", "--emit-trace", str(trace_file), check=True)
@@ -196,7 +203,18 @@ def test_verify_trace_malformed_is_a_usage_error(tmp_path):
     no_start.write_text(json.dumps(data))
     a_list = tmp_path / "list.json"
     a_list.write_text("[1, 2]")
-    for path, named in ((no_start, "'start'"), (a_list, "list")):
+    data = json.loads(trace_file.read_text())
+    data["longitude_end"] = f"c^{2 ** 64}"
+    huge_end = tmp_path / "huge_end.json"
+    huge_end.write_text(json.dumps(data))
+    data = json.loads(trace_file.read_text())
+    (step,) = data["moves"][48]["steps"]
+    step["conj"] = f"c^{2 ** 64}"
+    huge_conj = tmp_path / "huge_conj.json"
+    huge_conj.write_text(json.dumps(data))
+    for path, named in ((no_start, "'start'"), (a_list, "list"),
+                        (huge_end, "longitude_end: " + too_large(2 ** 64)),
+                        (huge_conj, "move 48: field 'steps': " + too_large(2 ** 64))):
         proc = run_cli("verify", "trace", str(path))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -303,6 +321,18 @@ def test_parse_both_grammars():
     proc = run_cli("parse", "clcLCL^-3CLclcl^2", check=True)
     assert proc.stdout.strip() == "c l c l^-1 c^-1 l^-3 c^-1 l^-1 c l c l^2"
     assert run_cli("parse", "c^0").returncode == 2
+
+
+@pytest.mark.parametrize("argv,exp", [
+    (("parse", f"c^{2 ** 64}"), 2 ** 64),
+    (("parse", f"c^{2 ** 64}", "--format", "json"), 2 ** 64),
+    (("parse", f"cL^-{2 ** 64}", "--compact"), -2 ** 64),
+    (("surgery", "--s", "3", "--slope", f"{2 ** 64}/1"), 2 ** 64),
+    (("surgery", "--s", "3", "--slope", f"{2 ** 64}/1", "--format", "json"), 2 ** 64),
+])
+def test_an_exponent_past_sys_maxsize_is_a_usage_error(argv, exp):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: " + too_large(exp))
 
 
 def test_usage_errors_exit_two():

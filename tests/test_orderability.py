@@ -304,6 +304,9 @@ def _set(doc, path, value):
     (("branches",), 7, "branches"),
     (("params", "relator"), DROP, "'relator'"),
     (("params", "s"), 2, "parameter s"),
+    # 2^64 is past sys.maxsize: no run of that many letters is ever built
+    (("branches", 1, "journal", 0, "conclusion", "word"), f"k^{2 ** 64}",
+     "branch k_identity: line 0: exponent 18446744073709551616 is too large"),
 ])
 def test_replay_reports_malformed_certificates(path, value, located):
     cert = copy.deepcopy(GOLDEN_CERT)

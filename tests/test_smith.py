@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pretzel_pi1 import smith
 from pretzel_pi1.derivation import full_trace, run_pipeline
-from pretzel_pi1.presentations import Presentation, apply_move, replay_trace
+from pretzel_pi1.presentations import Presentation, apply_move, exponent_row, replay_trace
 from pretzel_pi1.words import W
 
 
@@ -19,6 +19,12 @@ def dense_invariants(matrix, n):
 
 def sparse(matrix):
     return [{j: a for j, a in enumerate(row) if a} for row in matrix]
+
+
+def named(rows):
+    """rows with column j keyed by a name; the names sort in the reverse of
+    the column order."""
+    return [{"zyxwvutsrq"[j]: a for j, a in row.items()} for row in rows]
 
 
 ENTRIES = [
@@ -50,6 +56,8 @@ def test_sparse_invariants_match_the_dense_oracle(case):
     expected = dense_invariants(matrix, n)
     rows = sparse(matrix)
     assert smith.sparse_invariants(rows, n) == expected
+    # the invariant factors do not depend on the column keys or their order
+    assert smith.sparse_invariants(named(rows), n) == expected
     # generators that no row mentions are free factors
     assert smith.sparse_invariants(rows, n + 2) == expected + (0, 0)
 
@@ -70,12 +78,16 @@ def test_sparse_invariants_match_sympy():
 
 def test_sparse_invariants_examples():
     assert smith.sparse_invariants([], 3) == (0, 0, 0)
-    assert smith.sparse_invariants([{0: 2}, {1: 3}], 2) == (6,)
-    assert smith.sparse_invariants([{0: 2, 1: 4}, {0: 6, 1: 8}], 2) == (2, 4)
-    assert smith.sparse_invariants([{0: 1, 1: -1}, {1: 1, 2: -1}], 3) == (0,)
-    assert smith.sparse_invariants([{0: 3, 1: 1}, {0: 19}], 2) == (19,)
+    assert smith.sparse_invariants([{"a": 2}, {"b": 3}], 2) == (6,)
+    assert smith.sparse_invariants([{"a": 2, "b": 4}, {"a": 6, "b": 8}], 2) == (2, 4)
+    assert smith.sparse_invariants([{"a": 1, "b": -1}, {"b": 1, "c": -1}], 3) == (0,)
+    assert smith.sparse_invariants([{"c": 3, "l": 1}, {"c": 19}], 2) == (19,)
+    # string keys and integer keys over the same matrix
+    matrix = [[2, 4, 6], [6, 2, 4], [4, 6, 2]]
+    assert smith.sparse_invariants(named(sparse(matrix)), 3) \
+        == smith.sparse_invariants(sparse(matrix), 3) == (2, 2, 36)
     filled = Presentation(("c", "l"), (("fill", W("c^3 l^8")), ("r", W("l"))))
-    assert filled.exponent_rows() == [{0: 3, 1: 8}, {1: 1}]
+    assert [exponent_row(word) for _, word in filled.relators] == [{"c": 3, "l": 8}, {"l": 1}]
     assert filled.abelian_invariants() == (3,)
 
 
@@ -99,9 +111,8 @@ def test_invariants_match_the_oracle_on_every_trace_presentation():
             if move is not None:
                 p, delta = apply_move(p, move, longitude)
                 longitude = delta.longitude
-            n = len(p.generators)
-            matrix = [[row.get(j, 0) for j in range(n)] for row in p.exponent_rows()]
-            assert p.abelian_invariants() == dense_invariants(matrix, n) == (0,)
+            matrix = [[word.exponent_sum(g) for g in p.generators] for _, word in p.relators]
+            assert p.abelian_invariants() == dense_invariants(matrix, len(p.generators)) == (0,)
 
 
 def test_check_abelian_replay_keeps_the_dense_snf_small(monkeypatch):
