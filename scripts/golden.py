@@ -151,6 +151,16 @@ def grid() -> list[tuple[list[str], bool]]:
     for argv in (["parse", f"c^{2 ** 64}"], ["surgery", "--s", 3, "--slope", f"{2 ** 64}/1"]):
         add(True, *argv)
         add(True, *argv, "--format", "json")
+    # closed-form words built from their runs, at sizes the grid above does not reach
+    add(True, "surgery", "--s", 5, "--slope", "5693/162")
+    add(True, "surgery", "--s", 5, "--slope", "5693/162", "--format", "json")
+    add(True, "surgery", "--s", 3, "--slope", "100001/1000")
+    add(True, "verify", "induction", "--s", 40, "--format", "json")
+    add(True, "derive", "--s", 20, "--verify-induction", "--format", "json")
+    # a run no tuple can hold is a usage error, not a MemoryError
+    for argv in (["parse", f"c^{2 ** 62}"], ["surgery", "--s", 3, "--slope", f"{2 ** 62}/1"]):
+        add(True, *argv)
+        add(True, *argv, "--format", "json")
     return cases
 
 

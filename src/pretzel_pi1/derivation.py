@@ -44,7 +44,7 @@ from .presentations import (
     SubstituteEverywhere,
     solve_for,
 )
-from .words import Word, rotation_witness
+from .words import Word, rotation_witness, splice
 
 
 class DerivationError(RuntimeError):
@@ -71,10 +71,7 @@ def descending_product(a: int, b: int, factor: Callable[[int], Word]) -> Word:
     """prod over n = a, a-1, ..., b; empty when a == b-1; steeper is an error."""
     if a < b - 1:
         raise DerivationError(f"ascending product bounds {a}..{b} rejected")
-    out = Word()
-    for n in range(a, b - 1, -1):
-        out = out * factor(n)
-    return out
+    return splice(*(factor(n) for n in range(a, b - 1, -1)))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -85,16 +82,12 @@ def closed_form_R(i: int, s: int) -> Word:
     if not 1 <= i <= 2 * s:
         raise DerivationError(f"relator index {i} out of range 1..{2 * s}")
     j = (i + 1) // 2
-    a_inv = _gen("a", -1)
-    if i % 2:  # i == 2j-1
-        x = strand_name(2 * j - 1, s)
-        y = strand_name(2 * j, s)
-        head = (_gen(x, -1) * _gen(y, -1)) ** (j - 1)
-        return head * _gen(x, -1) * (_gen(y) * _gen(x)) ** j * a_inv
-    x = strand_name(2 * j, s)
-    y = strand_name(2 * j + 1, s)
-    head = (_gen(x, -1) * _gen(y, -1)) ** j
-    return head * _gen(x) * (_gen(y) * _gen(x)) ** j * a_inv
+    if i % 2:  # i == 2j-1: (x^-1 y^-1)^(j-1) x^-1 (y x)^j a^-1
+        x, y, head, sign = strand_name(2 * j - 1, s), strand_name(2 * j, s), j - 1, -1
+    else:  # (x^-1 y^-1)^j x (y x)^j a^-1
+        x, y, head, sign = strand_name(2 * j, s), strand_name(2 * j + 1, s), j, 1
+    return Word.from_syllables([(x, -1), (y, -1)] * head + [(x, sign)]
+                               + [(y, 1), (x, 1)] * j + [("a", -1)])
 
 
 @dataclass(frozen=True)
@@ -109,18 +102,17 @@ def _fragments(i: int, s: int) -> LongitudeFragments:
     j = (i + 1) // 2
     odd_run = descending_product(s, j + 1, lambda n: _gen(strand_name(2 * n - 1, s)))
     if i % 2:  # i == 2j-1
-        x = strand_name(2 * j - 1, s)
-        y = strand_name(2 * j, s)
-        left = odd_run * _power(y, -(j - 1)) * _gen(x) * (_gen(y) * _gen(x)) ** (j - 1)
-        right = (descending_product(s - 1, j, lambda n: _gen(strand_name(2 * n, s)))
-                 * _power(x, -(j - 1)) * (_gen(y) * _gen(x)) ** (j - 1))
+        x, y = strand_name(2 * j - 1, s), strand_name(2 * j, s)
+        left = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
+        even_run = descending_product(s - 1, j, lambda n: _gen(strand_name(2 * n, s)))
+        right = [(x, -(j - 1))] + [(y, 1), (x, 1)] * (j - 1)
     else:  # i == 2j
-        x = strand_name(2 * j, s)
-        y = strand_name(2 * j + 1, s)
-        left = odd_run * _power(x, -j) * (_gen(y) * _gen(x)) ** j
-        right = (descending_product(s - 1, j + 1, lambda n: _gen(strand_name(2 * n, s)))
-                 * _power(y, -(j - 1)) * _gen(x) * (_gen(y) * _gen(x)) ** (j - 1))
-    return LongitudeFragments(left, right, i)
+        x, y = strand_name(2 * j, s), strand_name(2 * j + 1, s)
+        left = [(x, -j)] + [(y, 1), (x, 1)] * j
+        even_run = descending_product(s - 1, j + 1, lambda n: _gen(strand_name(2 * n, s)))
+        right = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
+    return LongitudeFragments(splice(odd_run, Word.from_syllables(left)),
+                              splice(even_run, Word.from_syllables(right)), i)
 
 
 def closed_form_L_fragments(i: int, s: int) -> LongitudeFragments:
@@ -138,10 +130,10 @@ def _assemble_longitude(fragments: LongitudeFragments, s: int) -> Word:
 
 def _terminal_longitude(s: int) -> Word:
     """The longitude once the twist region is fully disentangled."""
-    bg = _gen("b") * _gen("g")
-    return (Word((("a", 1), ("f", 1), ("c", 1))) * _power("g", -s) * bg ** s
-            * _gen("c") * _power("b", -(s - 1)) * _gen("g") * bg ** (s - 1)
-            * Word((("a", 1), ("e", 1))) * _power("c", -(2 * s + 6)))
+    bg = [("b", 1), ("g", 1)]
+    return Word.from_syllables([("a", 1), ("f", 1), ("c", 1), ("g", -s)] + bg * s
+                               + [("c", 1), ("b", -(s - 1)), ("g", 1)] + bg * (s - 1)
+                               + [("a", 1), ("e", 1), ("c", -(2 * s + 6))])
 
 
 # -- induction oracles -------------------------------------------------------
@@ -216,14 +208,15 @@ def longitude_word(s: int) -> Word:
     ])
 
 
+# the block the pipeline longitude repeats s-1 times
+_BRACKET = [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)]
+
+
 def expected_l12(s: int) -> Word:
-    bracket = Word.from_syllables(
-        [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)])
-    return (_power("c", -(s - 1)) * _power("l", 1) * _gen("c") * _power("l", s)
-            * bracket ** (s - 1)
-            * Word.from_syllables([("l", -1), ("c", 1), ("l", 1), ("c", 1),
-                                   ("l", s - 1), ("c", 1), ("l", 1)])
-            * _power("c", -(2 * s + 8)))
+    return Word.from_syllables([("c", -(s - 1)), ("l", 1), ("c", 1), ("l", s)]
+                               + _BRACKET * (s - 1)
+                               + [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", s - 1),
+                                  ("c", 1), ("l", 1), ("c", -(2 * s + 8))])
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -244,8 +237,8 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     return Insertion(label, witness["inverted"], conj, pos)
 
 
-def _first_position(word: Word, old: Word, where: str) -> int:
-    pos = word.find(old)
+def _first_position(word: Word, old: Word, where: str, start: int = 0) -> int:
+    pos = word.find(old, start)
     if pos < 0:
         raise DerivationError(f"{old} does not occur in {where} {word}")
     return pos
@@ -310,10 +303,11 @@ def run_pipeline(s: int) -> PipelineResult:
                         "r7", macro))
     ins = _first_replacement(lon, _gen("a") * _gen("f"), _gen("h"), "r7", p, "the longitude")
     do(RewriteLongitude((ins,), macro=macro))
-    # each bg -> h inserts the same conjugate of r6; only its position moves
-    bg, ins = _gen("b") * _gen("g"), None
+    # each bg -> h inserts the same conjugate of r6; only its position moves,
+    # and it only moves right: the letters before a rewrite keep their places
+    bg, ins, pos = _gen("b") * _gen("g"), None, 0
     for _ in range(2 * s - 1):
-        pos = _first_position(lon, bg, "the longitude")
+        pos = _first_position(lon, bg, "the longitude", pos)
         ins = (replace(ins, position=pos) if ins else
                _replacement_insertion(lon, pos, bg, _gen("h"), "r6", p.relator("r6")))
         do(RewriteLongitude((ins,), macro=macro))
@@ -391,12 +385,11 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
     check_s(s)
     if l12 != expected_l12(s):
         raise DerivationError("input longitude does not match the pipeline output")
-    bracket = [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)]
     tail = [("c", 1), ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9))]
 
     def chain_word(n: int) -> Word:
         return Word.from_syllables([("c", -(s - 2 + n)), ("l", 1), ("c", 1), ("l", s)]
-                                   + bracket * (s - n) + tail)
+                                   + _BRACKET * (s - n) + tail)
 
     if chain_word(s) != longitude_word(s):
         raise DerivationError("simplification chain did not reach the closed form")
@@ -407,7 +400,7 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
     steps = [_replacement_insertion(l12, k, l12[k:], first[k:], "r_inf", relator)]
     # chain word n to n+1: at offset s-2+n, l c l^s bracket becomes c^-1 l c l^s
     unfold = _replacement_insertion(
-        first, s - 1, Word.from_syllables([("l", 1), ("c", 1), ("l", s)] + bracket),
+        first, s - 1, Word.from_syllables([("l", 1), ("c", 1), ("l", s)] + _BRACKET),
         Word.from_syllables([("c", -1), ("l", 1), ("c", 1), ("l", s)]), "r_inf", relator)
     steps += [replace(unfold, position=s - 2 + n) for n in range(1, s)]
     return SimplifiedLongitude(longitude_word(s), tuple(

@@ -11,9 +11,10 @@ under products and survive free reduction, so c^p L^q abelianizes to
 p*row(c) + q*row(L), where row is presentations.exponent_row, the one
 name-keyed row that every H_1 here is read from.  So h1_order (which `h1`,
 `nlo` and certificate replay use) costs the same for every slope.
-surgered_presentation still builds L^q by repeated multiplication, for
-the `surgery` command; so does the `power` rule of the orderability
-engine.
+surgered_presentation, for the `surgery` command, still builds the
+filling word: in one pass, from the run of c^p and q copies of the runs
+of L, reduced only at the seams, so it costs p + q|L| letters.  Only the
+`power` rule of the orderability engine multiplies a word by itself.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def verify_fact(s: int) -> Report:
 def surgered_presentation(s: int, slope: Slope) -> Presentation:
     """Two generators, two relators: the knot relator plus the filling."""
     check_s(s)
-    filling = (Word.from_syllables([("c", slope.p)])
-               * longitude_word(s) ** slope.q)
+    filling = Word.from_syllables([("c", slope.p)] + longitude_word(s).syllables() * slope.q)
     return Presentation(
         ("c", "l"),
         (("r_inf", final_relator(s)), ("fill", filling)),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -35,10 +36,15 @@ class WordError(ValueError):
     """Malformed word text or invalid generator name."""
 
 
+# A tuple of n letters needs n pointers and a header in sys.maxsize bytes; the largest
+# power of two below sys.maxsize // pointer size always fits: 2^59 on 64-bit builds.
+_MAX_RUN = 1 << ((sys.maxsize // struct.calcsize("P")).bit_length() - 1)
+
+
 def _run(exp: int) -> int:
     """The letter count of a run of exponent exp, if a tuple can hold it."""
-    if abs(exp) > sys.maxsize:
-        raise WordError(f"exponent {exp} is too large: a run has at most {sys.maxsize} letters")
+    if abs(exp) > _MAX_RUN:
+        raise WordError(f"exponent {exp} is too large: a run has at most {_MAX_RUN} letters")
     return abs(exp)
 
 

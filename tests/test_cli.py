@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from pretzel_pi1 import __version__, cli, derivation, surgery
 from pretzel_pi1.derivation import full_trace, run_pipeline
 from pretzel_pi1.presentations import trace_to_json
+from pretzel_pi1.words import Word
 
 
 DATA = Path(__file__).parent / "data"
@@ -187,11 +189,16 @@ def test_verify_trace_round_trip(tmp_path):
     assert json.loads(proc.stdout)["passed"] is False
 
 
+# The largest power of two below sys.maxsize over the pointer size: the most
+# letters a run may have, so that a tuple can hold it (2^59 on 64-bit builds).
+MAX_RUN = 2 ** (sys.maxsize.bit_length() - struct.calcsize("P").bit_length())
+
+
 def too_large(exp):
-    """The usage error of a run of exp letters.  2^64 is past sys.maxsize, so
-    such a run is refused before any tuple is built; a smaller count such as
-    10^9 would really be allocated."""
-    return f"exponent {exp} is too large: a run has at most {sys.maxsize} letters\n"
+    """The usage error of a run of exp letters.  A count past MAX_RUN is
+    refused before any tuple is built; a smaller count such as 10^9 would
+    really be allocated."""
+    return f"exponent {exp} is too large: a run has at most {MAX_RUN} letters\n"
 
 
 def test_verify_trace_malformed_is_a_usage_error(tmp_path):
@@ -269,6 +276,24 @@ def test_nlo_builds_no_filling_word(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["replay"] == "OK"
 
 
+def _no_power(word, n):
+    raise AssertionError(f"took the power {n} of {word}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["surgery", "--s", "5", "--slope", "5693/162"],
+    ["surgery", "--s", "5", "--slope", "5693/162", "--format", "json"],
+    ["verify", "induction", "--s", "5"],
+    ["derive", "--s", "5", "--verify-induction"],
+])
+def test_closed_forms_take_no_word_power(monkeypatch, capsys, argv):
+    """The filling c^p L^q and the closed forms of the induction oracles are
+    built from their runs; only the power rule of nlo takes a Word power."""
+    monkeypatch.setattr(Word, "__pow__", _no_power)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_abelianize_file(tmp_path):
     target = tmp_path / "filled.txt"
     run_cli("surgery", "--s", "3", "--slope", "19/1", "--emit", str(target),
@@ -332,6 +357,20 @@ def test_parse_both_grammars():
 ])
 def test_an_exponent_past_sys_maxsize_is_a_usage_error(argv, exp):
     proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: " + too_large(exp))
+
+
+@pytest.mark.parametrize("exp", [2 ** 61, 2 ** 62])
+@pytest.mark.parametrize("argv", [
+    ("parse", "c^{exp}"),
+    ("parse", "c^{exp}", "--format", "json"),
+    ("surgery", "--s", "3", "--slope", "{exp}/1"),
+    ("surgery", "--s", "3", "--slope", "{exp}/1", "--format", "json"),
+])
+def test_a_run_no_tuple_can_hold_is_a_usage_error(argv, exp):
+    """A count below sys.maxsize that no tuple can hold is a usage error too,
+    not a MemoryError traceback."""
+    proc = run_cli(*(arg.format(exp=exp) for arg in argv))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: " + too_large(exp))
 
 

@@ -57,6 +57,87 @@ def test_descending_product_conventions():
         descending_product(1, 3, fs)
 
 
+# -- product-built references ---------------------------------------------
+# The closed forms as they were first written: one Word product per factor
+# and Word powers for the repeated blocks, every step reduced by the Word
+# constructor.  derivation builds the same words from run lists.
+
+def _letter(name, sign=1):
+    return Word(((name, sign),))
+
+
+def _letter_power(name, exp):
+    return Word(((name, 1 if exp > 0 else -1),) * abs(exp))
+
+
+def reference_descending_product(a, b, factor):
+    assert a >= b - 1
+    out = Word()
+    for n in range(a, b - 1, -1):
+        out = out * factor(n)
+    return out
+
+
+def reference_closed_form_R(i, s):
+    j = (i + 1) // 2
+    a_inv = _letter("a", -1)
+    if i % 2:
+        x, y = derivation.strand_name(2 * j - 1, s), derivation.strand_name(2 * j, s)
+        head = (_letter(x, -1) * _letter(y, -1)) ** (j - 1)
+        return head * _letter(x, -1) * (_letter(y) * _letter(x)) ** j * a_inv
+    x, y = derivation.strand_name(2 * j, s), derivation.strand_name(2 * j + 1, s)
+    head = (_letter(x, -1) * _letter(y, -1)) ** j
+    return head * _letter(x) * (_letter(y) * _letter(x)) ** j * a_inv
+
+
+def reference_fragments(i, s):
+    name = derivation.strand_name
+    j = (i + 1) // 2
+    odd_run = reference_descending_product(s, j + 1, lambda n: _letter(name(2 * n - 1, s)))
+    if i % 2:
+        x, y = name(2 * j - 1, s), name(2 * j, s)
+        left = (odd_run * _letter_power(y, -(j - 1)) * _letter(x)
+                * (_letter(y) * _letter(x)) ** (j - 1))
+        right = (reference_descending_product(s - 1, j, lambda n: _letter(name(2 * n, s)))
+                 * _letter_power(x, -(j - 1)) * (_letter(y) * _letter(x)) ** (j - 1))
+    else:
+        x, y = name(2 * j, s), name(2 * j + 1, s)
+        left = odd_run * _letter_power(x, -j) * (_letter(y) * _letter(x)) ** j
+        right = (reference_descending_product(s - 1, j + 1, lambda n: _letter(name(2 * n, s)))
+                 * _letter_power(y, -(j - 1)) * _letter(x)
+                 * (_letter(y) * _letter(x)) ** (j - 1))
+    return left, right
+
+
+def reference_terminal_longitude(s):
+    bg = _letter("b") * _letter("g")
+    return (W("a f c") * _letter_power("g", -s) * bg ** s
+            * _letter("c") * _letter_power("b", -(s - 1)) * _letter("g") * bg ** (s - 1)
+            * W("a e") * _letter_power("c", -(2 * s + 6)))
+
+
+def reference_expected_l12(s):
+    bracket = W("L c l c L C")
+    return (_letter_power("c", -(s - 1)) * _letter("l") * _letter("c") * _letter_power("l", s)
+            * bracket ** (s - 1) * W("L c l c") * _letter_power("l", s - 1) * W("c l")
+            * _letter_power("c", -(2 * s + 8)))
+
+
+@pytest.mark.parametrize("s", range(3, 13))
+def test_closed_forms_match_their_product_built_references(s):
+    for i in range(1, 2 * s + 1):
+        assert closed_form_R(i, s) == reference_closed_form_R(i, s), i
+    for i in range(1, 2 * s):
+        fragments = _fragments(i, s)
+        assert (fragments.left, fragments.right) == reference_fragments(i, s), i
+    assert derivation._terminal_longitude(s) == reference_terminal_longitude(s)
+    assert expected_l12(s) == reference_expected_l12(s)
+    fs = lambda n: W(f"f{n} g") if n % 3 else W(f"G f{n}")  # some seams cancel
+    for b in range(1, s + 1):
+        for a in range(b - 1, s + 2):
+            assert descending_product(a, b, fs) == reference_descending_product(a, b, fs)
+
+
 def test_fragment_examples():
     f1 = closed_form_L_fragments(1, 3)
     assert f1.left == W("f5 f3 f1")

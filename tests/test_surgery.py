@@ -95,6 +95,23 @@ def test_surgered_presentation_s3_19():
     assert p.abelian_invariants() == (19,)
 
 
+def test_the_filling_is_the_reduced_concatenation():
+    """The filling, built in one pass from runs, equals c^p followed by q
+    copies of L, reduced letter by letter.  The p values make c^p cancel
+    into L's leading c^-(2s-2), pass it, or merge with it."""
+    for s in range(3, 9):
+        longitude = longitude_word(s).letters
+        for q in range(1, 13):
+            bound, head = (4 * s + 7) * q, 2 * s - 2
+            for p in {sign * (base + d) for sign in (1, -1) for base in (0, head, bound)
+                      for d in (-1, 0, 1)}:
+                if math.gcd(abs(p), q) != 1:
+                    continue
+                meridian = (("c", 1 if p > 0 else -1),) * abs(p)
+                expected = Word(meridian + longitude * q)
+                assert surgered_presentation(s, Slope(p, q)).relator("fill") == expected, (s, p, q)
+
+
 def test_h1_grid():
     """h1_order, read from exponent rows, agrees with abelianizing the filling
     relator c^p L^q that surgered_presentation builds, on slopes either side
