@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Count the lines of the trace replay path in src/pretzel_pi1/presentations.py.
+"""Count the lines of the two proof replay paths of src/pretzel_pi1.
 
-The replay path is what `replay_trace` runs to check a Tietze trace: the
-moves, their abelian shadows and the stepper.  Each top-level definition
-named below is counted from its first decorator to its last line; the
-script prints one line per definition it finds and then the total.  Names
-that the file does not define are skipped, so the same list counts older
-and newer versions of the file alike.  Standard library only:
+The trace replay path, in presentations.py, is what `replay_trace` runs to
+check a Tietze trace: the moves, their abelian shadows and the stepper.
+The certificate replay path, in orderability.py, is what
+`replay_certificate` runs to check a sign-deduction certificate: the rule
+functions that RULES names and the two helpers they call, RULES,
+CLOSING_RULES, clash, BranchContext and the journal replay.
 
-    python3 scripts/replay_loc.py [path/to/presentations.py]
+Each top-level definition or assignment named below is counted from its
+first decorator to its last line; the script prints one line per
+definition it finds and then the total, for each path.  Names that a file
+does not define are skipped, so the same lists count older and newer
+versions of the files alike.  Standard library only:
+
+    python3 scripts/replay_loc.py [path/to/presentations.py [path/to/orderability.py]]
+
+The orderability.py path defaults to the file next to presentations.py.
 """
 
 from __future__ import annotations
@@ -33,23 +41,57 @@ NAMES = (
     "exponent_row", "row_plus",
 )
 
+# the rule functions are the values of RULES, read from the file itself
+CERTIFICATE_NAMES = (
+    "_combine", "_is_root_power", "BranchContext", "clash", "CLOSING_RULES", "RULES",
+    "_replay_journal", "replay_certificate",
+)
 
-def spans(source: str) -> dict[str, int]:
-    """{name: lines} for each top-level definition in NAMES, in file order."""
+
+def _name(node: ast.stmt):
+    """The name a top-level def, class or single-name assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+            and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return None
+
+
+def rule_functions(tree: ast.Module) -> tuple[str, ...]:
+    """The function names that the dict assigned to RULES maps rule names to."""
+    for node in tree.body:
+        if _name(node) == "RULES" and isinstance(node.value, ast.Dict):
+            return tuple(v.id for v in node.value.values if isinstance(v, ast.Name))
+    return ()
+
+
+def spans(tree: ast.Module, names: tuple[str, ...]) -> dict[str, int]:
+    """{name: lines} for each top-level definition in names, in file order."""
     out = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in NAMES:
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            out[node.name] = node.end_lineno - first + 1
+    for node in tree.body:
+        name = _name(node)
+        if name in names:
+            decorators = getattr(node, "decorator_list", [])
+            first = min([node.lineno] + [d.lineno for d in decorators])
+            out[name] = node.end_lineno - first + 1
     return out
 
 
-def main(argv: list[str]) -> int:
-    path = Path(argv[1]) if len(argv) > 1 else SOURCE
-    counted = spans(path.read_text())
+def report(title: str, counted: dict[str, int]) -> None:
+    print(title)
     for name, lines in counted.items():
         print(f"{lines:5d}  {name}")
     print(f"{sum(counted.values()):5d}  total")
+
+
+def main(argv: list[str]) -> int:
+    trace_path = Path(argv[1]) if len(argv) > 1 else SOURCE
+    cert_path = Path(argv[2]) if len(argv) > 2 else trace_path.with_name("orderability.py")
+    report("trace replay", spans(ast.parse(trace_path.read_text()), NAMES))
+    tree = ast.parse(cert_path.read_text())
+    print()
+    report("certificate replay", spans(tree, CERTIFICATE_NAMES + rule_functions(tree)))
     return 0
 
 

@@ -22,7 +22,7 @@ and compares, so emitted certificates stand on their own.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -362,52 +362,6 @@ class Engine:
     def relator_transfer(self, idx: int, target: Word, note: str = "") -> int:
         args = _transfer_args(self.state.ctx, self.state.fact(idx)[0], target)
         return self.state.apply("relator", (idx,), args, (target, None), note)
-
-
-# -- blind saturation --------------------------------------------------------
-
-def saturate(state: ConeState, relators: tuple[Word, ...] = (),
-             generators: tuple[str, ...] = ("c", "l")) -> ConeState:
-    """Close the sign assignment under the rules until fixpoint or budget.
-
-    Applies, in a fixed order: inverse flips, pairwise products,
-    conjugation by single generators, and relator transfers (multiplying
-    by rotated relator copies).  Contradictions surface through the
-    journal exactly as in scripted runs.
-    """
-    extra = tuple(r for r in relators if r not in state.ctx.relators)
-    state.ctx = replace(state.ctx, relators=state.ctx.relators + extra)
-    ball = [Word(((g, e),)).tokens() for e in (1, -1) for g in generators]
-    rotations: list[Word] = []
-    for core in state.ctx.cores.values():
-        rotations.extend(core.rotations())
-        rotations.extend(CyclicWord(~core.word).rotations())
-    frontier = [idx for _, idx in sorted(state.signs.values(), key=lambda e: e[1])]
-
-    def emit(rule, premises, args, claim=None):
-        before = len(state.signs)
-        new_idx = state.apply(rule, premises, args, claim)
-        if len(state.signs) > before:
-            frontier.append(new_idx)
-
-    try:
-        while frontier:
-            idx = frontier.pop(0)
-            word = state.journal[idx].word
-            emit("inverse", (idx,), {})
-            for _, p_idx in sorted(state.signs.values(), key=lambda e: e[1]):
-                for pair in ((idx, p_idx), (p_idx, idx)):
-                    if _combine(*(state.journal[i].sign for i in pair)) is not None:
-                        emit("product", pair, {})
-            for x in ball:
-                emit("conjugate", (idx,), {"conjugator": x})
-            for rot in rotations:
-                target = rot * word
-                emit("relator", (idx,), _transfer_args(state.ctx, word, target),
-                     (target, None))
-    except (Contradiction, BudgetExhausted):
-        pass
-    return state
 
 
 # -- scripted replays of the order arguments ---------------------------------

@@ -190,18 +190,6 @@ class Presentation:
     def abelian_invariants(self) -> tuple[int, ...]:
         return smith.sparse_invariants(_rows(self).values(), len(self.generators))
 
-    def null_homologous(self, word: Word) -> bool:
-        """Whether word is 0 in H1, that is whether adding it as a relator
-        leaves the invariant factors unchanged.  This is exact: a finitely
-        generated abelian group G has G/<w> isomorphic to G only when w = 0."""
-        undeclared = word.generators() - self._generator_set
-        if undeclared:
-            raise PresentationError(f"word uses undeclared generators {sorted(undeclared)}")
-        rows = list(_rows(self).values())
-        n = len(self.generators)
-        return (smith.sparse_invariants(rows + [exponent_row(word)], n)
-                == smith.sparse_invariants(rows, n))
-
     # -- text format ----------------------------------------------------
 
     def to_text(self) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .derivation import check_s, final_relator, longitude_word
 from .presentations import Presentation, Report, exponent_row, row_plus
 from .smith import group_order, sparse_invariants
-from .words import Word
+from .words import _MAX_RUN, Word, WordError, _run
 
 
 class SlopeError(ValueError):
@@ -62,12 +62,6 @@ class PeripheralVector:
     """Exponents (meridian, longitude) in the rank-2 peripheral subgroup."""
     m: int
     l: int
-
-    def __add__(self, other: "PeripheralVector") -> "PeripheralVector":
-        return PeripheralVector(self.m + other.m, self.l + other.l)
-
-    def __sub__(self, other: "PeripheralVector") -> "PeripheralVector":
-        return PeripheralVector(self.m - other.m, self.l - other.l)
 
     def scaled(self, n: int) -> "PeripheralVector":
         return PeripheralVector(n * self.m, n * self.l)
@@ -146,7 +140,11 @@ def verify_fact(s: int) -> Report:
 def surgered_presentation(s: int, slope: Slope) -> Presentation:
     """Two generators, two relators: the knot relator plus the filling."""
     check_s(s)
-    filling = Word.from_syllables([("c", slope.p)] + longitude_word(s).syllables() * slope.q)
+    longitude = longitude_word(s)
+    if _run(slope.p) + slope.q * len(longitude) > _MAX_RUN:  # before q copies of L's runs
+        raise WordError(f"slope denominator {slope.q} is too large: c^p L^q would have more "
+                        f"than {_MAX_RUN} letters before reduction")
+    filling = Word.from_syllables([("c", slope.p)] + longitude.syllables() * slope.q)
     return Presentation(
         ("c", "l"),
         (("r_inf", final_relator(s)), ("fill", filling)),

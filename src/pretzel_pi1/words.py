@@ -265,25 +265,6 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.word)
 
-    def rotations(self) -> Iterator[Word]:
-        n = len(self.word)
-        if n == 0:
-            yield self.word
-            return
-        for k in range(n):
-            yield self.word.rotated(k)
-
-    def _canonical(self) -> tuple[Letter, ...]:
-        return min(rot.letters for rot in self.rotations())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return len(self.word) == len(other.word) and self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        return hash(self._canonical())
-
     def __repr__(self) -> str:
         return f"CyclicWord({str(self.word)!r})"
 
@@ -335,18 +316,11 @@ def rotation_witness(w: Word, relator: CyclicWord) -> Optional[dict]:
 def palindrome_rotation(cyclic: CyclicWord) -> Optional[int]:
     """Smallest k with rotate-left-by-k equal to the letter reversal.
 
-    Reversal reverses letter order only; each letter keeps its own sign.
-    Returns None when no rotation matches.
+    Reversal reverses letter order only; each letter keeps its own sign,
+    so the reversal of a cyclically reduced word is reduced.  Returns None
+    when no rotation matches.
     """
-    letters = cyclic.word.letters
-    n = len(letters)
-    if n == 0:
-        return 0
-    rev = tuple(reversed(letters))
-    for k in range(n):
-        if letters[k:] + letters[:k] == rev:
-            return k
-    return None
+    return cyclic.rotation_of(Word._reduced(cyclic.word.letters[::-1]))
 
 
 # -- parsing -------------------------------------------------------------

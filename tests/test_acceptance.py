@@ -7,7 +7,8 @@ import math
 import random
 import time
 
-from test_presentations import random_move, random_presentation
+from test_orderability import saturate
+from test_presentations import dense_null_homologous, random_move, random_presentation
 
 from pretzel_pi1.derivation import (
     final_relator,
@@ -26,7 +27,6 @@ from pretzel_pi1.orderability import (
     Sign,
     nlo_search,
     replay_certificate,
-    saturate,
 )
 from pretzel_pi1.presentations import SideConditionViolated, replay_trace
 from pretzel_pi1.surgery import Slope, clasp_word, h1_order, verify_fact, verify_lemma_k
@@ -115,7 +115,7 @@ def test_criterion_6_homology():
             for slope in slopes:
                 assert h1_order(s, slope) == abs(slope.p)
         for s in S_RANGE:
-            assert knot_group_presentation(s).null_homologous(longitude_word(s))
+            assert dense_null_homologous(knot_group_presentation(s), longitude_word(s))
 
 
 def test_criterion_7_certificates():

@@ -201,6 +201,12 @@ def too_large(exp):
     return f"exponent {exp} is too large: a run has at most {MAX_RUN} letters\n"
 
 
+def too_long_filling(q):
+    """The usage error of a slope 1/q whose filling c L^q no tuple can hold."""
+    return (f"slope denominator {q} is too large: c^p L^q would have more than {MAX_RUN} "
+            "letters before reduction\n")
+
+
 def test_verify_trace_malformed_is_a_usage_error(tmp_path):
     trace_file = tmp_path / "trace.json"
     run_cli("derive", "--s", "3", "--emit-trace", str(trace_file), check=True)
@@ -366,12 +372,15 @@ def test_an_exponent_past_sys_maxsize_is_a_usage_error(argv, exp):
     ("parse", "c^{exp}", "--format", "json"),
     ("surgery", "--s", "3", "--slope", "{exp}/1"),
     ("surgery", "--s", "3", "--slope", "{exp}/1", "--format", "json"),
+    ("surgery", "--s", "3", "--slope", "1/{exp}"),
+    ("surgery", "--s", "3", "--slope", "1/{exp}", "--format", "json"),
 ])
 def test_a_run_no_tuple_can_hold_is_a_usage_error(argv, exp):
     """A count below sys.maxsize that no tuple can hold is a usage error too,
-    not a MemoryError traceback."""
+    not a MemoryError traceback: a run of exp letters, or exp copies of L."""
     proc = run_cli(*(arg.format(exp=exp) for arg in argv))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: " + too_large(exp))
+    message = too_long_filling(exp) if "1/{exp}" in argv else too_large(exp)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: " + message)
 
 
 def test_usage_errors_exit_two():

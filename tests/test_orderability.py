@@ -1,6 +1,7 @@
 import copy
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,18 +11,20 @@ from pretzel_pi1.derivation import final_relator
 from pretzel_pi1.orderability import (
     BudgetExhausted,
     Certificate,
+    ConeState,
     Contradiction,
     Engine,
     EngineError,
     Inconclusive,
     RULES,
     Sign,
+    _combine,
     _identity_branch,
     _strict_branch,
+    _transfer_args,
     nlo_search,
     replay_certificate,
     replay_lemma_l_positive,
-    saturate,
 )
 from pretzel_pi1.surgery import Slope
 from pretzel_pi1.words import CyclicWord, Word, W, rotation_witness
@@ -29,6 +32,49 @@ from pretzel_pi1.words import CyclicWord, Word, W, rotation_witness
 names = st.sampled_from(["c", "l"])
 letters = st.tuples(names, st.sampled_from([1, -1]))
 words = st.lists(letters, max_size=16).map(Word)
+
+
+def saturate(state: ConeState, relators: tuple[Word, ...] = (),
+             generators: tuple[str, ...] = ("c", "l")) -> ConeState:
+    """A soundness probe of the rule kernel: close the sign assignment under
+    the rules until fixpoint or budget.
+
+    Applies, in a fixed order: inverse flips, pairwise products,
+    conjugation by single generators, and relator transfers (multiplying
+    by rotated relator copies).  Contradictions surface through the
+    journal exactly as in scripted runs.
+    """
+    extra = tuple(r for r in relators if r not in state.ctx.relators)
+    state.ctx = replace(state.ctx, relators=state.ctx.relators + extra)
+    ball = [Word(((g, e),)).tokens() for e in (1, -1) for g in generators]
+    rotations = [w.rotated(k) for core in state.ctx.cores.values()
+                 for w in (core.word, ~core.word) for k in range(max(1, len(w)))]
+    frontier = [idx for _, idx in sorted(state.signs.values(), key=lambda e: e[1])]
+
+    def emit(rule, premises, args, claim=None):
+        before = len(state.signs)
+        new_idx = state.apply(rule, premises, args, claim)
+        if len(state.signs) > before:
+            frontier.append(new_idx)
+
+    try:
+        while frontier:
+            idx = frontier.pop(0)
+            word = state.journal[idx].word
+            emit("inverse", (idx,), {})
+            for _, p_idx in sorted(state.signs.values(), key=lambda e: e[1]):
+                for pair in ((idx, p_idx), (p_idx, idx)):
+                    if _combine(*(state.journal[i].sign for i in pair)) is not None:
+                        emit("product", pair, {})
+            for x in ball:
+                emit("conjugate", (idx,), {"conjugator": x})
+            for rot in rotations:
+                target = rot * word
+                emit("relator", (idx,), _transfer_args(state.ctx, word, target),
+                     (target, None))
+    except (Contradiction, BudgetExhausted):
+        pass
+    return state
 
 
 def test_pointwise_compare_examples():
