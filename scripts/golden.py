@@ -161,6 +161,10 @@ def grid() -> list[tuple[list[str], bool]]:
     for argv in (["parse", f"c^{2 ** 62}"], ["surgery", "--s", 3, "--slope", f"{2 ** 62}/1"]):
         add(True, *argv)
         add(True, *argv, "--format", "json")
+    # a budget that stops the search before a costly power line
+    for argv in (["--slope", "1/6000", "--depth", 1], ["--slope", "10000/1", "--depth", 15]):
+        add(True, "nlo", "--s", 3, *argv)
+        add(True, "nlo", "--s", 3, *argv, "--format", "json")
     return cases
 
 

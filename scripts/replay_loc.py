@@ -85,13 +85,20 @@ def report(title: str, counted: dict[str, int]) -> None:
     print(f"{sum(counted.values()):5d}  total")
 
 
-def main(argv: list[str]) -> int:
-    trace_path = Path(argv[1]) if len(argv) > 1 else SOURCE
-    cert_path = Path(argv[2]) if len(argv) > 2 else trace_path.with_name("orderability.py")
-    report("trace replay", spans(ast.parse(trace_path.read_text()), NAMES))
+def count(trace_path: Path = SOURCE,
+          cert_path: Path | None = None) -> tuple[dict[str, int], dict[str, int]]:
+    """{name: lines} of the trace replay path and of the certificate replay path."""
+    cert_path = cert_path or trace_path.with_name("orderability.py")
     tree = ast.parse(cert_path.read_text())
+    return (spans(ast.parse(trace_path.read_text()), NAMES),
+            spans(tree, CERTIFICATE_NAMES + rule_functions(tree)))
+
+
+def main(argv: list[str]) -> int:
+    trace, cert = count(*(Path(arg) for arg in argv[1:3]))
+    report("trace replay", trace)
     print()
-    report("certificate replay", spans(tree, CERTIFICATE_NAMES + rule_functions(tree)))
+    report("certificate replay", cert)
     return 0
 
 

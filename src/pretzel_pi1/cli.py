@@ -139,7 +139,11 @@ def _cmd_verify(args) -> int:
                   for name, half in halves.items()}}
     else:  # trace
         with open(args.file, "r", encoding="utf-8") as handle:
-            trace = trace_from_json(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:  # nesting deeper than the parser's recursion limit
+                raise ValueError(f"{args.file}: JSON nested too deeply to read") from None
+        trace = trace_from_json(data)
         report = replay_trace(trace, check_abelian=args.check_abelian)
         doc = {"command": "verify trace", "file": args.file, "moves": len(trace.moves)}
     if args.what in ("fact", "lemma-k"):

@@ -276,15 +276,20 @@ class Contradiction(Exception):
 
 
 @dataclass
-class ConeState:
-    """Partial sign assignment with its deduction journal and budget.
+class Branch:
+    """One case of the order argument: a partial sign assignment with its
+    deduction journal and budget.
 
     Lines enter only through `apply`, which records what a RULES entry
     returns and checks each new classification with `clash` against
-    itself and the signs already known for its word and inverse.
+    itself and the signs already known for its word and inverse.  Every
+    line but a closing one is charged to the budget, and a line past the
+    budget is refused before its rule runs.
     """
+    name: str = ""
     ctx: BranchContext = field(default_factory=BranchContext)
     budget: int = DEFAULT_DEPTH
+    note: str = ""
     used: int = 0
     journal: list[JournalLine] = field(default_factory=list)
     signs: dict = field(default_factory=dict)
@@ -300,14 +305,14 @@ class ConeState:
         """Run RULES[rule] on recorded premises and record its conclusion."""
         if self.outcome == "contradiction":
             raise EngineError("branch already closed")
-        conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
-                                 args, claim)
-        if conclusion is None:  # closing lines are not charged to the budget
-            self._close(rule, premises, args, note)
-        self.used += 1
-        if self.used > self.budget:
+        if rule not in CLOSING_RULES and self.used >= self.budget:
             self.outcome = "budget"
             raise BudgetExhausted(f"depth budget {self.budget} exhausted")
+        conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
+                                 args, claim)
+        if conclusion is None:
+            self._close(rule, premises, args, note)
+        self.used += 1
         word, sign = conclusion
         self.journal.append(JournalLine(rule, premises, args, word, sign, note))
         idx = len(self.journal) - 1
@@ -328,115 +333,73 @@ class ConeState:
         self.outcome = "contradiction"
         raise Contradiction(len(self.journal) - 1)
 
-
-class Engine:
-    """Script layer over ConeState: each method names a rule and its inputs."""
-
-    def __init__(self, relators: tuple[Word, ...] = (), budget: int = DEFAULT_DEPTH):
-        self.state = ConeState(BranchContext(tuple(relators)), budget)
-
-    @property
-    def journal(self):
-        return self.state.journal
-
     def assume(self, word: Word, sign: Sign, note: str = "") -> int:
         """Declare word ~ sign a hypothesis of the branch and record it."""
         declared = {"word": word.tokens(), "sign": sign.value}
-        if declared not in self.state.ctx.assumptions:
-            self.state.ctx.assumptions.append(declared)
-        return self.state.apply("assume", (), {}, (word, sign), note)
+        if declared not in self.ctx.assumptions:
+            self.ctx.assumptions.append(declared)
+        return self.apply("assume", (), {}, (word, sign), note)
 
-    def power(self, idx: int, n: int, note: str = "") -> int:
-        return self.state.apply("power", (idx,), {"n": n}, note=note)
+    def transfer(self, idx: int, target: Word, note: str = "") -> int:
+        """Carry the sign of line idx to target across one relator copy."""
+        args = _transfer_args(self.ctx, self.fact(idx)[0], target)
+        return self.apply("relator", (idx,), args, (target, None), note)
 
-    def inverse(self, idx: int, note: str = "") -> int:
-        return self.state.apply("inverse", (idx,), {}, note=note)
-
-    def product(self, i: int, j: int, note: str = "") -> int:
-        return self.state.apply("product", (i, j), {}, note=note)
-
-    def conjugate(self, idx: int, conjugator: Word, note: str = "") -> int:
-        return self.state.apply("conjugate", (idx,),
-                                {"conjugator": conjugator.tokens()}, note=note)
-
-    def relator_transfer(self, idx: int, target: Word, note: str = "") -> int:
-        args = _transfer_args(self.state.ctx, self.state.fact(idx)[0], target)
-        return self.state.apply("relator", (idx,), args, (target, None), note)
+    def to_json(self) -> dict:
+        return {"name": self.name, "assumptions": self.ctx.assumptions,
+                "journal": [line.to_json() for line in self.journal],
+                "outcome": self.outcome, "note": self.note}
 
 
 # -- scripted replays of the order arguments ---------------------------------
 
-def _filling_engine(s: int, slope: Slope, budget: int) -> Engine:
-    """An engine over the filled group: the knot relator, s and the slope."""
-    engine = Engine(budget=budget)
-    engine.state.ctx = BranchContext((final_relator(s),), s, slope)
-    return engine
-
-
-def _meridian_root_line(engine: Engine, slope: Slope, root_idx: int) -> int:
+def _meridian_root_line(branch: Branch, slope: Slope, root_idx: int) -> int:
     """k^q classified, then transported to the meridian c."""
-    kq_idx = root_idx if slope.q == 1 else engine.power(
-        root_idx, slope.q, note="q-th power of the peripheral root")
+    kq_idx = root_idx if slope.q == 1 else branch.apply(
+        "power", (root_idx,), {"n": slope.q}, note="q-th power of the peripheral root")
     pair = bezout_k(slope)
-    return engine.state.apply(
+    return branch.apply(
         "peripheral-meridian", (kq_idx,),
         {"p": slope.p, "q": slope.q, "bezout": [pair.m, pair.l]},
         note="k^q equals the meridian in the filled group")
 
 
-def _lemma_chain(engine: Engine, s: int, slope: Slope, root_sign: Sign) -> dict:
+def _lemma_chain(branch: Branch, s: int, slope: Slope, root_sign: Sign) -> dict:
     """Journal the chain from a strictly signed root to a signed l.
 
     The meridian inherits the sign, a conjugate of it rides along the
     clasp prefix, one rotated relator copy trades the comparison word,
     and un-conjugating isolates l.  Returns the key journal indices.
     """
-    root = engine.assume(K, root_sign, note="root normalization")
-    c_idx = _meridian_root_line(engine, slope, root)
+    root = branch.assume(K, root_sign, note="root normalization")
+    c_idx = _meridian_root_line(branch, slope, root)
     w = parse_word(f"l c l^{s} c l")  # the clasp prefix
-    conj_idx = engine.conjugate(c_idx, ~w,
-                                note="meridian conjugated along the clasp prefix")
-    prod_idx = engine.product(conj_idx, c_idx)
-    d_idx = engine.relator_transfer(prod_idx, COMPARISON,
-                                    note="trade the comparison word by one relator copy")
-    l_idx = engine.conjugate(d_idx, ISOLATE_L, note="un-conjugate to isolate l")
+    conj_idx = branch.apply("conjugate", (c_idx,), {"conjugator": (~w).tokens()},
+                            note="meridian conjugated along the clasp prefix")
+    prod_idx = branch.apply("product", (conj_idx, c_idx), {})
+    d_idx = branch.transfer(prod_idx, COMPARISON,
+                            note="trade the comparison word by one relator copy")
+    l_idx = branch.apply("conjugate", (d_idx,), {"conjugator": ISOLATE_L.tokens()},
+                         note="un-conjugate to isolate l")
     return {"root": root, "c": c_idx, "l": l_idx}
 
 
 def replay_lemma_l_positive(s: int, slope: Slope, root_sign: Sign = Sign.POSITIVE,
-                            budget: int = DEFAULT_DEPTH) -> Engine:
+                            budget: int = DEFAULT_DEPTH) -> Branch:
     """Scripted replay: a strictly signed root forces l to the same sign."""
     if root_sign is Sign.IDENTITY:
         raise EngineError("the identity root is handled by the degenerate branch")
-    engine = _filling_engine(s, slope, budget)
-    _lemma_chain(engine, s, slope, root_sign)
-    return engine
-
-
-@dataclass
-class BranchRecord:
-    name: str
-    assumptions: list[dict]
-    journal: list[JournalLine]
-    outcome: str
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "assumptions": self.assumptions,
-                "journal": [line.to_json() for line in self.journal],
-                "outcome": self.outcome, "note": self.note}
-
-    @staticmethod
-    def of(name: str, engine: Engine, note: str = "") -> "BranchRecord":
-        state = engine.state
-        return BranchRecord(name, state.ctx.assumptions, state.journal, state.outcome, note)
+    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
+                    budget)
+    _lemma_chain(branch, s, slope, root_sign)
+    return branch
 
 
 @dataclass
 class Certificate:
     s: int
     slope: Slope
-    branches: list[BranchRecord]
+    branches: list[Branch]
     depth_used: int
     depth_budget: int
 
@@ -461,7 +424,7 @@ class Inconclusive:
     s: int
     slope: Slope
     reason: str
-    branches: list[BranchRecord]
+    branches: list[Branch]
     depth_budget: int
 
     def to_json(self) -> dict:
@@ -483,58 +446,54 @@ def _params_json(s: int, slope: Slope, depth: int) -> dict:
             "clasp": clasp_word(s).tokens()}
 
 
-def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> BranchRecord:
+def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> Branch:
     """The main case: a fixed-point-free root normalized to one sign."""
     e = fact_exponent(s, slope)  # p - (4s+7) q
-    engine = _filling_engine(s, slope, budget)
-    note = ""
+    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
+                    budget)
     try:
-        marks = _lemma_chain(engine, s, slope, root_sign)
+        marks = _lemma_chain(branch, s, slope, root_sign)
         c_idx, l_idx = marks["c"], marks["l"]
-        engine.power(c_idx, 3, note="the meridian cube bound")
-        ls_idx = engine.power(l_idx, s)
-        t = engine.product(l_idx, c_idx)
-        t = engine.product(t, ls_idx)
-        t = engine.product(t, c_idx)
-        t = engine.product(t, ls_idx)
-        t = engine.product(t, c_idx)
-        w0_idx = engine.product(t, l_idx, note="the clasp word, signed by products")
+        branch.apply("power", (c_idx,), {"n": 3}, note="the meridian cube bound")
+        ls_idx = branch.apply("power", (l_idx,), {"n": s})
+        factors = (c_idx, ls_idx, c_idx, ls_idx, c_idx, l_idx)  # l c l^s c l^s c l
+        w0_idx = l_idx
+        for n, factor in enumerate(factors, 1):
+            w0_idx = branch.apply("product", (w0_idx, factor), {}, note=(
+                "the clasp word, signed by products" if n == len(factors) else ""))
         # the peripheral identity: clasp = k^((4s+7)q - p) = k^(-e)
         args = {"clasp_power": -e, "p": slope.p, "q": slope.q}
         if e < 0:
-            note = (f"slope below the bound: the clasp word is k^{-e}, a positive "
-                    f"power of the root, consistent with its sign")
+            branch.note = (f"slope below the bound: the clasp word is k^{-e}, a positive "
+                           f"power of the root, consistent with its sign")
         elif e == 0:
-            engine.state.apply("fact-exponent", (w0_idx,), args,
-                               note="zero peripheral exponent: the clasp word is trivial")
+            branch.apply("fact-exponent", (w0_idx,), args,
+                         note="zero peripheral exponent: the clasp word is trivial")
         else:
-            kinv = engine.inverse(marks["root"])
-            kpow = kinv if e == 1 else engine.power(kinv, e)
-            engine.state.apply("fact-exponent", (kpow,), args,
-                               note="the clasp word is this negative power of the root")
+            kinv = branch.apply("inverse", (marks["root"],), {})
+            kpow = kinv if e == 1 else branch.apply("power", (kinv,), {"n": e})
+            branch.apply("fact-exponent", (kpow,), args,
+                         note="the clasp word is this negative power of the root")
     except (Contradiction, BudgetExhausted):
         pass
-    name = "k_positive" if root_sign is Sign.POSITIVE else "k_negative"
-    return BranchRecord.of(name, engine, note)
+    return branch
 
 
-def _identity_branch(s: int, slope: Slope, budget: int) -> BranchRecord:
+def _identity_branch(s: int, slope: Slope, budget: int) -> Branch:
     """The degenerate case: the root acts trivially."""
-    engine = _filling_engine(s, slope, budget)
-    note = ""
+    branch = Branch("k_identity", BranchContext((final_relator(s),), s, slope), budget)
     try:
-        root = engine.assume(K, Sign.IDENTITY, note="degenerate root")
-        c_idx = _meridian_root_line(engine, slope, root)
-        order = engine.state.ctx.h1
+        root = branch.assume(K, Sign.IDENTITY, note="degenerate root")
+        c_idx = _meridian_root_line(branch, slope, root)
+        order = branch.ctx.h1
         if order == 1 or order == 0:
-            note = f"H1 has order {order}; a trivial meridian is not obstructed"
+            branch.note = f"H1 has order {order}; a trivial meridian is not obstructed"
         else:
-            engine.state.apply(
-                "abelian-obstruction", (c_idx,), {"h1_order": order},
-                note="a trivially-acting meridian kills H1, which has order > 1")
+            branch.apply("abelian-obstruction", (c_idx,), {"h1_order": order},
+                         note="a trivially-acting meridian kills H1, which has order > 1")
     except (Contradiction, BudgetExhausted):
         pass
-    return BranchRecord.of("k_identity", engine, note)
+    return branch
 
 
 def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):

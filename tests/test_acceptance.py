@@ -21,8 +21,8 @@ from pretzel_pi1.derivation import (
     verify_R_induction,
 )
 from pretzel_pi1.orderability import (
+    Branch,
     Certificate,
-    Engine,
     Inconclusive,
     Sign,
     nlo_search,
@@ -138,10 +138,10 @@ def test_criterion_7_certificates():
 def test_criterion_8_soundness_controls():
     with Budget(8, "orderable control and Tietze invariance", 30):
         # the free group on {c, l} is left-orderable: no contradiction may appear
-        engine = Engine(budget=600)
-        engine.assume(W("c"), Sign.POSITIVE)
-        engine.assume(W("l"), Sign.POSITIVE)
-        state = saturate(engine.state, relators=(), generators=("c", "l"))
+        branch = Branch(budget=600)
+        branch.assume(W("c"), Sign.POSITIVE)
+        branch.assume(W("l"), Sign.POSITIVE)
+        state = saturate(branch, relators=(), generators=("c", "l"))
         assert state.outcome != "contradiction"
 
         # bundled traces preserve the abelianization move by move

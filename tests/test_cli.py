@@ -234,6 +234,23 @@ def test_verify_trace_malformed_is_a_usage_error(tmp_path):
         assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, fmt):
+    """JSON nested deeper than the parser recurses is unreadable JSON, as a
+    syntax error is: exit 2 and one line naming the file, not a RecursionError."""
+    texts = {f"nested_{n}.json": "[" * n + "]" * n for n in (1_000, 5_000, 100_000)}
+    data = trace_to_json(full_trace(run_pipeline(3)))
+    data["start"] = "START"
+    texts["nested_start.json"] = json.dumps(data).replace('"START"', "[" * 1_000 + "]" * 1_000)
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        proc = run_cli("verify", "trace", str(path), "--format", fmt)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {path}: JSON nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("kind,field", [("RewriteRelator", "steps"),
                                         ("SubstituteEverywhere", "only_in")])
 def test_verify_trace_rejects_a_string_for_a_list_field(tmp_path, kind, field):

@@ -9,6 +9,7 @@ import pytest
 
 from pretzel_pi1 import words
 from pretzel_pi1.derivation import verify_L_induction, verify_R_induction
+from pretzel_pi1.orderability import nlo_search
 from pretzel_pi1.surgery import Slope, surgered_presentation
 
 
@@ -54,3 +55,24 @@ def test_filling_letters_grow_at_most_2_2x_per_doubling_of_q(letters_built):
     counts = [letters_built(lambda: surgered_presentation(5, Slope(27 * q + 1, q)))
               for q in (40, 80, 160)]
     assert all(r <= 2.2 for r in ratios(counts)), counts
+
+
+def test_nlo_letters_grow_at_most_4_4x_per_doubling_of_p(letters_built):
+    """The power rule builds k^(p - 19) with Word.__pow__, whose repeated
+    products cost O(p^2) letters: 4.15-4.30x per doubling.  A linear power
+    (ROADMAP item 1) would take it to about 2x."""
+    counts = [letters_built(lambda: nlo_search(3, Slope(p, 1))) for p in (250, 500, 1000)]
+    assert all(r <= 4.4 for r in ratios(counts)), counts
+
+
+@pytest.mark.parametrize("slope,depth", [(lambda n: Slope(1, n), 1),
+                                         (lambda n: Slope(n, 1), 15)],
+                         ids=["k^q past depth 1", "k^-e past depth 15"])
+def test_a_budget_stopped_search_builds_the_same_letters_for_any_exponent(
+        letters_built, slope, depth):
+    """The line past the budget is a power of the root whose exponent grows
+    with the slope.  It is refused before its rule runs, so the letters built
+    do not depend on that exponent; charged after the rule, it built O(n^2)."""
+    counts = [letters_built(lambda: nlo_search(3, slope(n), depth=depth))
+              for n in (250, 500, 1000)]
+    assert len(set(counts)) == 1, counts

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from pretzel_pi1.derivation import final_relator
 from pretzel_pi1.orderability import (
+    Branch,
+    BranchContext,
     BudgetExhausted,
     Certificate,
-    ConeState,
     Contradiction,
-    Engine,
     EngineError,
     Inconclusive,
     RULES,
@@ -34,8 +34,8 @@ letters = st.tuples(names, st.sampled_from([1, -1]))
 words = st.lists(letters, max_size=16).map(Word)
 
 
-def saturate(state: ConeState, relators: tuple[Word, ...] = (),
-             generators: tuple[str, ...] = ("c", "l")) -> ConeState:
+def saturate(state: Branch, relators: tuple[Word, ...] = (),
+             generators: tuple[str, ...] = ("c", "l")) -> Branch:
     """A soundness probe of the rule kernel: close the sign assignment under
     the rules until fixpoint or budget.
 
@@ -104,38 +104,38 @@ def test_rotation_consequence_examples():
 
 
 def test_engine_rules_and_conflicts():
-    eng = Engine(budget=50)
-    i = eng.assume(W("l"), Sign.POSITIVE)
-    j = eng.power(i, 2)
-    assert eng.journal[j].word == W("l^2")
-    k = eng.inverse(i)
-    assert eng.journal[k].sign is Sign.NEGATIVE
+    branch = Branch(budget=50)
+    i = branch.assume(W("l"), Sign.POSITIVE)
+    j = branch.apply("power", (i,), {"n": 2})
+    assert branch.journal[j].word == W("l^2")
+    k = branch.apply("inverse", (i,), {})
+    assert branch.journal[k].sign is Sign.NEGATIVE
     with pytest.raises(EngineError):
-        eng.product(i, k)  # strictly mixed product has no sign
+        branch.apply("product", (i, k), {})  # strictly mixed product has no sign
     with pytest.raises(Contradiction):
-        eng.assume(W("l^-1"), Sign.POSITIVE)
-    assert eng.state.outcome == "contradiction"
+        branch.assume(W("l^-1"), Sign.POSITIVE)
+    assert branch.outcome == "contradiction"
 
 
 def test_engine_relator_triviality_contradicts():
-    eng = Engine(relators=(final_relator(3),), budget=50)
+    branch = Branch(ctx=BranchContext((final_relator(3),)), budget=50)
     with pytest.raises(Contradiction):
-        eng.assume(final_relator(3).rotated(4), Sign.POSITIVE)
+        branch.assume(final_relator(3).rotated(4), Sign.POSITIVE)
 
 
 def test_engine_budget():
-    eng = Engine(budget=2)
-    eng.assume(W("l"), Sign.POSITIVE)
-    eng.power(0, 2)
+    branch = Branch(budget=2)
+    branch.assume(W("l"), Sign.POSITIVE)
+    branch.apply("power", (0,), {"n": 2})
     with pytest.raises(BudgetExhausted):
-        eng.power(0, 3)
-    assert eng.state.outcome == "budget"
+        branch.apply("power", (0,), {"n": 3})
+    assert branch.outcome == "budget"
 
 
 def test_saturate_derives_powers_without_contradiction():
-    eng = Engine(budget=40)
-    eng.assume(W("l"), Sign.POSITIVE)
-    state = saturate(eng.state, relators=(), generators=("l",))
+    branch = Branch(budget=40)
+    branch.assume(W("l"), Sign.POSITIVE)
+    state = saturate(branch, relators=(), generators=("l",))
     assert state.outcome in ("open", "budget")
     signs = {Word(k).tokens(): v[0] for k, v in state.signs.items()}
     assert signs.get("l^2") is Sign.POSITIVE
@@ -144,19 +144,19 @@ def test_saturate_derives_powers_without_contradiction():
 
 
 def test_saturate_detects_antisymmetry_clash():
-    eng = Engine(budget=40)
-    eng.assume(W("c l"), Sign.POSITIVE)
-    eng.state.signs[(~W("c l")).letters] = (Sign.POSITIVE, 0)  # forged entry
-    state = saturate(eng.state, relators=(), generators=("c", "l"))
+    branch = Branch(budget=40)
+    branch.assume(W("c l"), Sign.POSITIVE)
+    branch.signs[(~W("c l")).letters] = (Sign.POSITIVE, 0)  # forged entry
+    state = saturate(branch, relators=(), generators=("c", "l"))
     assert state.outcome == "contradiction"
 
 
 def test_free_group_positivity_never_contradicts():
     # soundness control: the free group on {c, l} is orderable
-    eng = Engine(budget=700)
-    eng.assume(W("c"), Sign.POSITIVE)
-    eng.assume(W("l"), Sign.POSITIVE)
-    state = saturate(eng.state, relators=(), generators=("c", "l"))
+    branch = Branch(budget=700)
+    branch.assume(W("c"), Sign.POSITIVE)
+    branch.assume(W("l"), Sign.POSITIVE)
+    state = saturate(branch, relators=(), generators=("c", "l"))
     assert state.outcome != "contradiction"
     for key, (sign, _) in state.signs.items():
         inv = tuple((n, -s) for n, s in reversed(key))
@@ -170,10 +170,10 @@ def test_knot_group_positivity_never_contradicts():
     # the relator), so saturation with the relator available must stay
     # consistent and every derived sign must match that model
     relator = final_relator(3)
-    eng = Engine(relators=(relator,), budget=900)
-    eng.assume(W("c"), Sign.POSITIVE)
-    eng.assume(W("l"), Sign.POSITIVE)
-    state = saturate(eng.state, relators=(relator,), generators=("c", "l"))
+    branch = Branch(ctx=BranchContext((relator,)), budget=900)
+    branch.assume(W("c"), Sign.POSITIVE)
+    branch.assume(W("l"), Sign.POSITIVE)
+    state = saturate(branch, relators=(relator,), generators=("c", "l"))
     assert state.outcome != "contradiction"
     for key, (sign, _) in state.signs.items():
         translation = sum(s for n, s in key if n == "c") \
@@ -186,8 +186,8 @@ def test_knot_group_positivity_never_contradicts():
 
 @pytest.mark.parametrize("s,p,q", [(3, 19, 1), (4, 23, 1), (3, 39, 2)])
 def test_replay_lemma_l_positive(s, p, q):
-    eng = replay_lemma_l_positive(s, Slope(p, q))
-    journal = eng.journal
+    branch = replay_lemma_l_positive(s, Slope(p, q))
+    journal = branch.journal
     assert len(journal) <= 12
     last = journal[-1]
     assert last.word == W("l") and last.sign is Sign.POSITIVE
