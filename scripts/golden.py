@@ -4,10 +4,11 @@
 Runs ``pretzel_pi1.cli.main`` in process on each argv of the grid, in
 order, inside one fresh temporary directory, so a run can read the files
 that earlier runs wrote (``verify trace`` reads the traces that
-``derive --emit-trace`` wrote).  For each argv it records the exit code
-and the length and sha256 of stdout, and the same for every file the run
-writes (``--emit-trace``, ``--cert``, ``--emit``).  File names are
-relative to the directory, so no path of this machine reaches a digest.
+``derive --emit-trace`` wrote).  For each argv it records the exit code,
+the length and sha256 of stdout and of stderr, and the same for every
+file the run writes (``--emit-trace``, ``--cert``, ``--emit``).  File
+names are relative to the directory, so no path of this machine reaches
+a digest.
 
     python3 scripts/golden.py           # write tests/data/golden_digests.json
     python3 scripts/golden.py --check   # recompute the whole grid and compare
@@ -191,14 +192,15 @@ def run_one(argv: list[str]) -> dict:
     """One in-process CLI run in the current directory, as a digest record."""
     _prepare(argv)
     outputs = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in OUTPUT_FLAGS]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return {"argv": argv, "exit": code,
             "stdout": _digest(stdout.getvalue().encode("utf-8")),
+            "stderr": _digest(stderr.getvalue().encode("utf-8")),
             "files": {name: _digest(pathlib.Path(name).read_bytes())
                       if os.path.exists(name) else None for name in outputs}}
 
@@ -228,9 +230,11 @@ def main() -> int:
     if args.check:
         expected = {json.dumps(r["argv"]): {k: v for k, v in r.items() if k != "fast"}
                     for r in load()}
-        bad = [r["argv"] for r in records if expected.get(json.dumps(r["argv"])) != r]
-        for argv in bad:
-            print("differs: " + " ".join(argv))
+        bad = [r for r in records if expected.get(json.dumps(r["argv"])) != r]
+        for r in bad:
+            want = expected.get(json.dumps(r["argv"]), {})
+            fields = [k for k in r if want.get(k) != r[k]]
+            print(f"differs ({', '.join(fields)}): " + " ".join(r["argv"]))
         print(f"{len(records) - len(bad)} of {len(records)} runs match")
         return 1 if bad else 0
     fast = {json.dumps(argv) for argv, is_fast in grid() if is_fast}

@@ -15,7 +15,6 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from pretzel_pi1.derivation import (
-    full_trace,
     longitude_word,
     run_pipeline,
     verify_L_induction,
@@ -35,23 +34,22 @@ def main() -> int:
     failures = 0
     for s in range(args.min_s, args.max_s + 1):
         start = time.perf_counter()
-        result = run_pipeline(s)
-        trace = full_trace(result)
+        trace = run_pipeline(s).trace
         checks = {
             "replay": replay_trace(trace, check_abelian=True).ok,
-            "relator": result.presentation.generators == ("c", "l"),
+            "relator": trace.end.generators == ("c", "l"),
             "longitude": trace.longitude_end == longitude_word(s),
             "R-induction": verify_R_induction(s).ok,
             "L-induction": verify_L_induction(s).ok,
             "palindrome": palindrome_rotation(
-                CyclicWord(result.presentation.relator("r_inf"))) is not None,
+                CyclicWord(trace.end.relator("r_inf"))) is not None,
             "clasp": verify_fact(s).ok,
             "h1": h1_order(s, Slope(4 * s + 7, 1)) == 4 * s + 7,
         }
         elapsed = time.perf_counter() - start
         bad = [name for name, ok in checks.items() if not ok]
         status = "ok" if not bad else f"FAIL ({', '.join(bad)})"
-        print(f"s={s:2d}  moves={len(result.trace.moves):3d}  "
+        print(f"s={s:2d}  moves={len(trace.moves):3d}  "
               f"relator_len={2 * s + 9:3d}  {elapsed:6.3f}s  {status}")
         failures += len(bad)
     return 1 if failures else 0

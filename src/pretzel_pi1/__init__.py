@@ -8,7 +8,6 @@ identities, and emits replayable non-left-orderability certificates.
 
 from .derivation import (
     final_relator,
-    full_trace,
     knot_group_presentation,
     longitude_word,
     run_pipeline,
@@ -31,7 +30,7 @@ from .words import CyclicWord, Word, W, palindrome_rotation, parse_word
 __all__ = [
     "Certificate", "CyclicWord", "DerivationTrace", "Inconclusive",
     "Presentation", "Slope", "W", "Word",
-    "final_relator", "full_trace", "h1_order", "initial_longitude",
+    "final_relator", "h1_order", "initial_longitude",
     "knot_group_presentation", "longitude_word", "nlo_search",
     "palindrome_rotation", "parse_word", "replay_certificate",
     "replay_lemma_l_positive", "replay_trace", "run_pipeline",

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 for PASS / certificate, 1 for FAIL, 2 for usage errors,
-3 for an honest Inconclusive.  With --format json exactly one JSON
-document is written to stdout; everything diagnostic goes to stderr.
+Exit codes: 0 for PASS / certificate, 1 for FAIL, 2 for usage errors
+and unreadable or unwritable files, 3 for an honest Inconclusive.  With
+--format json exactly one JSON document is written to stdout; everything
+diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .derivation import MoveRejected, derive, verify_L_induction, verify_R_induction
+from .derivation import MoveRejected, run_pipeline, verify_L_induction, verify_R_induction
 from .knot import tunnel_collapse, wirtinger_presentation
 from .orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
 from .presentations import (
@@ -68,11 +69,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_derive(args) -> int:
     try:
-        result, trace, report = derive(args.s)
+        result = run_pipeline(args.s)
     except MoveRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    relator = result.presentation.relator("r_inf")
+    trace, report = result.trace, result.report
+    relator = trace.end.relator("r_inf")
     inductions = None
     if args.verify_induction:
         inductions = {"R": verify_R_induction(args.s), "L": verify_L_induction(args.s)}
@@ -84,7 +86,7 @@ def _cmd_derive(args) -> int:
         doc = {
             "command": "derive",
             "s": args.s,
-            "generators": list(result.presentation.generators),
+            "generators": list(trace.end.generators),
             "relator": {"label": "r_inf", **_word_fields(relator)},
             "longitude": _word_fields(trace.longitude_end),
             "pipeline_longitude": _word_fields(result.longitude),
@@ -97,7 +99,7 @@ def _cmd_derive(args) -> int:
                                 for name, rep in inductions.items()}
         _emit_json(doc)
     else:
-        sys.stdout.write(result.presentation.to_text())
+        sys.stdout.write(trace.end.to_text())
         print(f"longitude: {trace.longitude_end.tokens()}")
         print(f"moves: {len(trace.moves)}")
         if inductions is not None:
@@ -178,12 +180,8 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            p = Presentation.from_text(handle.read())
-    except OSError as exc:
-        print(f"cannot read presentation {args.file}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    with open(args.file, "r", encoding="utf-8") as handle:
+        p = Presentation.from_text(handle.read())
     invariants = p.abelian_invariants()
     if args.format == "json":
         _emit_json({"command": "abelianize", "file": args.file,
@@ -318,9 +316,9 @@ def main(argv=None) -> int:
     except (WordError, SlopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except OSError as exc:  # an unreadable input or unwritable output file
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

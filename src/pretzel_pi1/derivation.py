@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .knot import check_s, initial_longitude, strand_name, tunnel_moves, wirtinger_presentation
+from .knot import (
+    check_s,
+    initial_longitude,
+    strand_name,
+    tunnel_collapse,
+    tunnel_moves,
+    wirtinger_presentation,
+)
 from .presentations import (
     AddGenerator,
     Check,
@@ -155,9 +162,7 @@ def verify_R_induction(s: int, closed_form: Callable[[int, int], Word] = closed_
     check_s(s)
     report = Report(f"R induction s={s}")
     # base: eliminate f0 from the tunnel relator pair
-    p2 = wirtinger_presentation(s)
-    for move in tunnel_moves(s):
-        p2 = move.apply(p2)
+    p2 = tunnel_collapse(s)
     base = p2.relator("r_inf").substitute("f0", solve_for(p2.relator("r7"), "f0"))
     _step(report, 1, base == closed_form(1, s))
     current = base
@@ -259,22 +264,17 @@ def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    s: int
-    trace: DerivationTrace
-    presentation: Presentation
-    longitude: Word  # the tracked longitude at the end of the trace
-    replay: Replay  # the checked pass that applied the moves, not yet finished
-
-
-def _apply_checked(replay: Replay, move) -> None:
-    if not replay.step(move):
-        raise MoveRejected(replay.report.first_failure())
+    trace: DerivationTrace  # the Tietze moves, then the longitude simplification
+    longitude: Word  # the pipeline longitude l12, before simplification
+    report: Report  # the finished report of the one checked pass
 
 
 def run_pipeline(s: int) -> PipelineResult:
-    """Script the whole simplification; every move is applied, with all the
-    checks of replay_trace, as it is recorded.  Raises MoveRejected at the
-    first move that fails them."""
+    """Script the whole derivation: the Tietze moves down to <c, l | r_inf>,
+    then the moves of simplify_longitude.  Every move is applied once, with
+    all the checks of replay_trace, as it is recorded; raises MoveRejected at
+    the first move that fails them.  The report ends with the checks of the
+    end presentation and of the closed-form longitude_word(s)."""
     check_s(s)
     start = wirtinger_presentation(s)
     lon_start = initial_longitude(s).word
@@ -284,7 +284,8 @@ def run_pipeline(s: int) -> PipelineResult:
 
     def do(move):
         nonlocal p, lon
-        _apply_checked(replay, move)
+        if not replay.step(move):
+            raise MoveRejected(replay.report.first_failure())
         p, lon = replay.presentation, replay.longitude
         moves.append(move)
 
@@ -359,28 +360,26 @@ def run_pipeline(s: int) -> PipelineResult:
     do(RemoveRelator("r9", macro="corkscrew"))
     do(RotateRelator("r_inf", 2 * s + 5, macro="cyclic"))
 
-    p = p.replace(provenance=f"pipeline s={s}")
-    trace = DerivationTrace(start, tuple(moves), p, lon_start, lon)
-    return PipelineResult(s, trace, p, lon, replay)
+    l12 = lon
+    for move in simplify_longitude(s, l12):
+        do(move)
+    # the end longitude is the closed form, so finish checks the stepper against it
+    trace = DerivationTrace(start, tuple(moves), p.replace(provenance=f"pipeline s={s}"),
+                            lon_start, longitude_word(s))
+    return PipelineResult(trace, l12, replay.finish(trace.end, trace.longitude_end))
 
 
 # -- longitude simplification -------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplifiedLongitude:
-    word: Word
-    moves: tuple[RewriteLongitude, ...]
-
-
-def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
+def simplify_longitude(s: int, l12: Word) -> tuple[RewriteLongitude, ...]:
     """Shorten the pipeline longitude via single-relator consequences.
 
     The chain first straightens the tail, then unfolds the repeated
     bracket one factor at a time; each step is one RewriteLongitude that
     inserts one conjugate of the knot group relator, checked where the
-    moves are replayed (derive steps them through its Replay).  Chain word
-    n is c^-(s-2+n) l c l^s bracket^(s-n) tail, so each unfolding is the
-    same insertion at its own offset.
+    moves are replayed (run_pipeline steps them through its Replay).
+    Chain word n is c^-(s-2+n) l c l^s bracket^(s-n) tail, so each
+    unfolding is the same insertion at its own offset.
     """
     check_s(s)
     if l12 != expected_l12(s):
@@ -403,26 +402,4 @@ def simplify_longitude(s: int, l12: Word) -> SimplifiedLongitude:
         first, s - 1, Word.from_syllables([("l", 1), ("c", 1), ("l", s)] + _BRACKET),
         Word.from_syllables([("c", -1), ("l", 1), ("c", 1), ("l", s)]), "r_inf", relator)
     steps += [replace(unfold, position=s - 2 + n) for n in range(1, s)]
-    return SimplifiedLongitude(longitude_word(s), tuple(
-        RewriteLongitude((step,), macro="longitude_simplification") for step in steps))
-
-
-def full_trace(result: PipelineResult) -> DerivationTrace:
-    """A pipeline run plus its longitude simplification as one replayable trace."""
-    simplified = simplify_longitude(result.s, result.longitude)
-    return DerivationTrace(result.trace.start,
-                           result.trace.moves + simplified.moves,
-                           result.presentation,
-                           result.trace.longitude_start,
-                           simplified.word)
-
-
-def derive(s: int) -> tuple[PipelineResult, DerivationTrace, Report]:
-    """The pipeline, its full trace and the report of its one checked pass:
-    the pipeline's replay stepped on through the longitude simplification
-    and finished.  Every move is applied once."""
-    result = run_pipeline(s)
-    trace = full_trace(result)
-    for move in trace.moves[len(result.trace.moves):]:
-        _apply_checked(result.replay, move)
-    return result, trace, result.replay.finish(trace.end, trace.longitude_end)
+    return tuple(RewriteLongitude((step,), macro="longitude_simplification") for step in steps)

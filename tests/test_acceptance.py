@@ -12,7 +12,6 @@ from test_presentations import dense_null_homologous, random_move, random_presen
 
 from pretzel_pi1.derivation import (
     final_relator,
-    full_trace,
     knot_group_presentation,
     longitude_word,
     run_pipeline,
@@ -28,7 +27,7 @@ from pretzel_pi1.orderability import (
     nlo_search,
     replay_certificate,
 )
-from pretzel_pi1.presentations import SideConditionViolated, replay_trace
+from pretzel_pi1.presentations import DerivationTrace, SideConditionViolated, replay_trace
 from pretzel_pi1.surgery import Slope, clasp_word, h1_order, verify_fact, verify_lemma_k
 from pretzel_pi1.words import CyclicWord, Word, W, palindrome_rotation
 
@@ -62,10 +61,14 @@ def test_criterion_1_presentation_reproduction():
     with Budget(1, "presentation and longitude reproduction", 5):
         for s in S_RANGE:
             result = run_pipeline(s)
-            assert result.presentation.generators == ("c", "l")
-            assert result.presentation.relators == (("r_inf", final_relator(s)),)
+            assert result.trace.end.generators == ("c", "l")
+            assert result.trace.end.relators == (("r_inf", final_relator(s)),)
             simplified = simplify_longitude(s, result.longitude)
-            assert simplified.word == longitude_word(s)
+            assert result.trace.moves[-len(simplified):] == simplified
+            # the simplification moves take the pipeline longitude to the closed form
+            end = result.trace.end
+            assert replay_trace(DerivationTrace(end, simplified, end, result.longitude,
+                                                longitude_word(s))).ok
             assert replay_trace(result.trace).ok
         # the s=3 endpoints, verbatim
         assert final_relator(3) == W("clcLCL^-3CLclcl^2")
@@ -146,7 +149,7 @@ def test_criterion_8_soundness_controls():
 
         # bundled traces preserve the abelianization move by move
         for s in (3, 5, 8):
-            assert replay_trace(full_trace(run_pipeline(s)), check_abelian=True).ok
+            assert replay_trace(run_pipeline(s).trace, check_abelian=True).ok
 
         # 1000 random move sequences on random small presentations
         rng = random.Random(1729)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pretzel_pi1 import __version__, cli, derivation, surgery
-from pretzel_pi1.derivation import full_trace, run_pipeline
+from pretzel_pi1.derivation import run_pipeline
 from pretzel_pi1.presentations import trace_to_json
 from pretzel_pi1.words import Word
 
@@ -149,7 +149,7 @@ def test_derive_exits_one_when_a_pipeline_move_is_rejected(monkeypatch, capsys, 
      {"detail": "end presentation does not match; end longitude does not match"}),
 ])
 def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
-    data = trace_to_json(full_trace(run_pipeline(3)))
+    data = trace_to_json(run_pipeline(3).trace)
     if corrupt:
         corrupt(data)
     trace_file = tmp_path / "trace.json"
@@ -161,7 +161,7 @@ def test_verify_trace_json_documents(tmp_path, corrupt, code, failure):
 
 
 def test_verify_trace_text_names_both_failing_end_checks(tmp_path):
-    data = trace_to_json(full_trace(run_pipeline(3)))
+    data = trace_to_json(run_pipeline(3).trace)
     _corrupt_both_ends(data)
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(data, indent=2))
@@ -239,7 +239,7 @@ def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path,
     """JSON nested deeper than the parser recurses is unreadable JSON, as a
     syntax error is: exit 2 and one line naming the file, not a RecursionError."""
     texts = {f"nested_{n}.json": "[" * n + "]" * n for n in (1_000, 5_000, 100_000)}
-    data = trace_to_json(full_trace(run_pipeline(3)))
+    data = trace_to_json(run_pipeline(3).trace)
     data["start"] = "START"
     texts["nested_start.json"] = json.dumps(data).replace('"START"', "[" * 1_000 + "]" * 1_000)
     for name, text in texts.items():
@@ -251,11 +251,24 @@ def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path,
         assert proc.stderr == f"error: {path}: JSON nested too deeply to read\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command,target", [("verify trace", "missing.json"),
+                                            ("verify trace", "."),
+                                            ("abelianize", "missing.txt")])
+def test_an_unreadable_file_is_a_usage_error(tmp_path, command, target, fmt):
+    """A missing file or a directory is a usage error, exit 2, not the exit 1
+    of a proof that fails: one file error line and no traceback."""
+    proc = run_cli(*command.split(), str(tmp_path / target), "--format", fmt)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("file error: ")
+
+
 @pytest.mark.parametrize("kind,field", [("RewriteRelator", "steps"),
                                         ("SubstituteEverywhere", "only_in")])
 def test_verify_trace_rejects_a_string_for_a_list_field(tmp_path, kind, field):
     """A string in a list field is a malformed trace, not an identity move."""
-    data = trace_to_json(full_trace(run_pipeline(3)))
+    data = trace_to_json(run_pipeline(3).trace)
     i = next(i for i, move in enumerate(data["moves"])
              if move["kind"] == kind and move.get(field))
     data["moves"][i][field] = ""
@@ -325,7 +338,7 @@ def test_abelianize_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.strip() == "19"
     missing = run_cli("abelianize", str(tmp_path / "nope.txt"))
-    assert missing.returncode == 1
+    assert missing.returncode == 2
 
 
 def test_surgery_rejects_bad_slope():
@@ -425,7 +438,7 @@ def test_verify_trace_rejects_a_bad_v2_longitude_step(tmp_path, key, value, fail
     """A longitude rewrite that cites a missing relator, inserts out of range
     or conjugates by an undeclared generator fails at its own move, the last
     of the s=3 trace; verify trace exits 1 and names the move."""
-    data = trace_to_json(full_trace(run_pipeline(3)))
+    data = trace_to_json(run_pipeline(3).trace)
     (step,) = data["moves"][48]["steps"]
     assert data["moves"][48]["kind"] == "RewriteLongitude" and step[key] != value
     step[key] = value

@@ -6,17 +6,15 @@ import pytest
 
 from test_presentations import dense_null_homologous
 
-from pretzel_pi1 import derivation
+from pretzel_pi1 import derivation, presentations
 from pretzel_pi1.derivation import (
     DerivationError,
     MoveRejected,
     closed_form_L_fragments,
     closed_form_R,
-    derive,
     descending_product,
     expected_l12,
     final_relator,
-    full_trace,
     knot_group_presentation,
     longitude_word,
     run_pipeline,
@@ -281,7 +279,7 @@ def test_pipeline_generator_orders_match_source():
 @pytest.mark.parametrize("s", range(3, 13))
 def test_pipeline_endpoint_properties(s):
     result = run_pipeline(s)
-    p = result.presentation
+    p = result.trace.end
     assert p.generators == ("c", "l")
     relator = p.relator("r_inf")
     assert relator == final_relator(s)
@@ -297,7 +295,9 @@ def test_pipeline_endpoint_properties(s):
 
 def test_pipeline_move_count_is_stable():
     for s in (3, 5):
-        assert len(run_pipeline(s).trace.moves) == 4 * s + 34
+        moves = run_pipeline(s).trace.moves
+        assert sum(move.macro != "longitude_simplification" for move in moves) == 4 * s + 34
+        assert len(moves) == 4 * s + 34 + s  # one tail rewrite + s-1 bracket unfoldings
 
 
 def test_relator_count_matches_declared_deltas():
@@ -323,7 +323,7 @@ def test_pipeline_trace_replays_with_abelian_checks(s):
 
 def test_trace_negative_control():
     result = run_pipeline(3)
-    bad_end = result.presentation.replace(
+    bad_end = result.trace.end.replace(
         relators=(("r_inf", final_relator(3) * W("c")),))
     report = replay_trace(
         type(result.trace)(result.trace.start, result.trace.moves, bad_end,
@@ -340,16 +340,18 @@ def test_trace_json_round_trip_s3():
 
 def test_simplified_longitude_s3():
     result = run_pipeline(3)
-    simplified = simplify_longitude(3, result.longitude)
-    assert simplified.word == W("c^-4 l c l^3 c l^3 c l c^-15")
-    assert len(simplified.moves) == 3  # one tail rewrite + s-1 bracket unfoldings
+    moves = simplify_longitude(3, result.longitude)
+    replay = Replay(result.trace.end, result.longitude)
+    assert all(replay.step(move) for move in moves)
+    assert replay.longitude == W("c^-4 l c l^3 c l^3 c l c^-15")
+    assert len(moves) == 3  # one tail rewrite + s-1 bracket unfoldings
     with pytest.raises(DerivationError):
         simplify_longitude(3, result.longitude * W("c"))
 
 
 @pytest.mark.parametrize("s", range(3, 13))
 def test_longitude_simplification_and_homology(s):
-    trace = full_trace(run_pipeline(s))
+    trace = run_pipeline(s).trace
     assert trace.longitude_end == longitude_word(s)
     p = knot_group_presentation(s)
     assert dense_null_homologous(p, longitude_word(s))
@@ -357,22 +359,47 @@ def test_longitude_simplification_and_homology(s):
 
 
 @pytest.mark.parametrize("s", [3, 6])
-def test_full_trace_replays(s):
-    assert replay_trace(full_trace(run_pipeline(s))).ok
+def test_the_whole_trace_replays(s):
+    assert replay_trace(run_pipeline(s).trace).ok
 
 
-# -- derive's one checked pass ---------------------------------------------------
+# -- run_pipeline's one checked pass ---------------------------------------------
 
 @pytest.mark.parametrize("s", [*range(3, 13), 34])
 def test_derive_reports_what_a_second_replay_reports(s):
-    """derive applies each move once; its report is the one a separate replay
-    of the same trace gives, check for check."""
-    result, trace, report = derive(s)
-    assert trace == full_trace(run_pipeline(s))
+    """run_pipeline applies each move once; its report is the one a separate
+    replay of the same trace gives, check for check."""
+    result = run_pipeline(s)
+    trace, report = result.trace, result.report
+    assert trace == run_pipeline(s).trace
     again = replay_trace(trace)
     assert report.ok and report.checks == again.checks and report.detail == again.detail
     assert len(report.checks) == len(trace.moves) + 2
-    assert result.presentation == trace.end
+    assert trace.end.provenance == f"pipeline s={s}"
+    assert trace.longitude_end == longitude_word(s)
+
+
+@pytest.mark.parametrize("s", [3, 8, 34])
+def test_run_pipeline_applies_each_move_once(monkeypatch, s):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return apply_move(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "apply_move", counted)
+    result = run_pipeline(s)
+    assert len(calls) == len(result.trace.moves)
+
+
+def test_the_end_longitude_is_the_closed_form_not_the_stepper(monkeypatch):
+    """With the last simplification move dropped, the stepped longitude stops
+    short of the closed form, and only the end longitude check fails."""
+    simplify = derivation.simplify_longitude
+    monkeypatch.setattr(derivation, "simplify_longitude", lambda s, l12: simplify(s, l12)[:-1])
+    report = run_pipeline(3).report
+    assert [check.name for check in report.checks if not check.ok] == ["end longitude"]
+    assert report.detail == "end longitude does not match"
 
 
 def _corrupted(move):
@@ -405,7 +432,7 @@ def v1_twin(trace):
 def _corruptions_fail_alike(monkeypatch, trace):
     """Corrupt each move of the s=3 trace in turn.  Stepping the trace through
     Replay, replaying it with replay_trace and deriving with the corrupted
-    move stepped in place of the one derive emits all stop at that move with
+    move stepped in place of the one run_pipeline emits all stop at that move with
     the same check."""
     for k, move in enumerate(trace.moves):
         moves = trace.moves[:k] + (_corrupted(move),) + trace.moves[k + 1:]
@@ -420,19 +447,19 @@ def _corruptions_fail_alike(monkeypatch, trace):
 
         monkeypatch.setattr(derivation, "Replay", CorruptingReplay)
         with pytest.raises(MoveRejected) as rejected:
-            derive(3)
+            run_pipeline(3)
         assert rejected.value.check == replayed, k
 
 
 def test_a_corrupted_move_fails_alike_in_derive_and_in_replay(monkeypatch):
     """A longitude rewrite is corrupted by citing a missing relator in its insertion."""
-    _corruptions_fail_alike(monkeypatch, full_trace(run_pipeline(3)))
+    _corruptions_fail_alike(monkeypatch, run_pipeline(3).trace)
 
 
 def test_a_corrupted_v1_move_fails_alike_in_derive_and_in_replay(monkeypatch):
     """The same on the v1 twin, whose longitude rewrites state their whole new
     word; one is corrupted by a trailing letter c."""
-    _corruptions_fail_alike(monkeypatch, v1_twin(full_trace(run_pipeline(3))))
+    _corruptions_fail_alike(monkeypatch, v1_twin(run_pipeline(3).trace))
 
 
 V1_FIXTURES = Path(__file__).parent / "data"
@@ -443,7 +470,7 @@ def test_the_v1_twin_is_the_committed_v1_trace(s):
     """The v1 trace files written before schema v2 are the v1 twins of today's traces."""
     data = json.loads((V1_FIXTURES / f"trace_v1_s{s}.json").read_text(encoding="utf-8"))
     assert data["v"] == 1
-    assert trace_from_json(data) == v1_twin(full_trace(run_pipeline(s)))
+    assert trace_from_json(data) == v1_twin(run_pipeline(s).trace)
 
 
 def test_v1_and_v2_twins_reach_the_same_longitude():
@@ -451,7 +478,7 @@ def test_v1_and_v2_twins_reach_the_same_longitude():
     check, and step through the same longitude after every move; the twin
     survives a JSON round trip, under either schema version."""
     for s in range(3, 41):
-        trace = full_trace(run_pipeline(s))
+        trace = run_pipeline(s).trace
         twin = v1_twin(trace)
         data = trace_to_json(twin)
         assert data["v"] == 2 and trace_from_json(data) == twin
@@ -467,6 +494,6 @@ def test_v1_and_v2_twins_reach_the_same_longitude():
 def test_trace_bytes_grow_linearly_in_s():
     """A longitude rewrite cites one insertion, so doubling s at most about
     doubles the emitted trace; restating the longitude made it 2.8 times."""
-    sizes = [len(json.dumps(trace_to_json(full_trace(run_pipeline(s))), indent=2))
+    sizes = [len(json.dumps(trace_to_json(run_pipeline(s).trace), indent=2))
              for s in (40, 80)]
     assert sizes[1] <= 2.2 * sizes[0]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretzel_pi1 import presentations, smith
-from pretzel_pi1.derivation import full_trace, run_pipeline
+from pretzel_pi1.derivation import run_pipeline
 from pretzel_pi1.presentations import (
     MOVE_KINDS,
     AddGenerator,
@@ -427,7 +427,7 @@ def test_replay_touches_only_what_each_move_names(monkeypatch):
     for the start and the end, and a RemoveGenerator or SubstituteEverywhere
     substitutes only into the relators that hold its generator, plus the
     tracked longitude."""
-    data = trace_to_json(full_trace(run_pipeline(20)))
+    data = trace_to_json(run_pipeline(20).trace)
     validations, substituted, unexpected = [], [], []
     post_init, substitute, step = (Presentation.__post_init__, Word.substitute,
                                    presentations.apply_move)
@@ -469,7 +469,7 @@ def test_remove_generator_solves_its_relator_once(monkeypatch):
     """Replaying the s=100 trace, which tracks a longitude, solves each
     RemoveGenerator's relator once, for the presentation and the longitude
     alike, and each SubstituteEverywhere's justifying relator once."""
-    trace = full_trace(run_pipeline(100))
+    trace = run_pipeline(100).trace
     kinds = [type(m) for m in trace.moves]
     solves = []
 
@@ -487,7 +487,7 @@ def test_carried_generator_sets_match_a_fresh_index():
     """After every move of the s=3..12 traces, the generator sets a presentation
     carries over from its parent are those the public constructor finds."""
     for s in range(3, 13):
-        trace = full_trace(run_pipeline(s))
+        trace = run_pipeline(s).trace
         p, longitude = trace.start, trace.longitude_start
         for move in trace.moves:
             p, delta = apply_move(p, move, longitude)
@@ -632,7 +632,7 @@ def test_carried_rows_match_fresh_exponent_rows(monkeypatch):
     monkeypatch.setattr(Presentation, "abelian_invariants",
                         lambda self: computed.append(self) or invariants(self))
     for s in [*range(3, 13), 34]:
-        trace = full_trace(run_pipeline(s))
+        trace = run_pipeline(s).trace
         computed.clear()
         replay = Replay(trace.start, trace.longitude_start, check_abelian=True)
         for move in trace.moves:
@@ -763,7 +763,7 @@ def test_forced_fallback_gives_the_same_report_on_every_v2_mutant(monkeypatch):
     later move, catches the change, and where the later moves eliminate
     what it changed (the opening's rewrites of b g to h, before b goes
     away) the mutant trace is a proof too and passes."""
-    documents = [trace_to_json(full_trace(run_pipeline(s))) for s in (3, 5)]
+    documents = [trace_to_json(run_pipeline(s).trace) for s in (3, 5)]
     mutants, outcomes, digest = _mutant_reports(monkeypatch, documents)
     assert mutants == 1892 > 1000
     assert outcomes == {"own": 856, "later": 164, "end": 98, "pass": 774}
@@ -870,7 +870,7 @@ def test_the_shadow_is_total():
 def test_a_move_that_changes_h1_fails_at_its_own_index(monkeypatch):
     """Negative control: a RotateRelator that also multiplies its relator by
     c is reported at its own index with the reason a full H1 gives."""
-    trace = full_trace(run_pipeline(3))
+    trace = run_pipeline(3).trace
     k = next(i for i, move in enumerate(trace.moves) if isinstance(move, RotateRelator))
     rotate = RotateRelator.delta
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretzel_pi1 import smith
-from pretzel_pi1.derivation import full_trace, run_pipeline
+from pretzel_pi1.derivation import run_pipeline
 from pretzel_pi1.presentations import Presentation, apply_move, exponent_row, replay_trace
 from pretzel_pi1.words import W
 
@@ -105,7 +105,7 @@ def test_invariants_match_the_oracle_on_every_trace_presentation():
     """Every presentation along the s = 3..40 traces presents the knot group,
     whose H1 is Z; both paths must say so."""
     for s in range(3, 41):
-        trace = full_trace(run_pipeline(s))
+        trace = run_pipeline(s).trace
         p, longitude = trace.start, trace.longitude_start
         for move in (None, *trace.moves):
             if move is not None:
@@ -132,7 +132,7 @@ def test_check_abelian_replay_keeps_the_dense_snf_small(monkeypatch):
 
     monkeypatch.setattr(smith, "smith_normal_form", recording_dense)
     monkeypatch.setattr(smith, "sparse_invariants", recording_sparse)
-    trace = full_trace(run_pipeline(20))
+    trace = run_pipeline(20).trace
     assert replay_trace(trace, check_abelian=True).ok
     assert len(checked) == 1
     assert all(rows <= 2 and cols <= 2 for rows, cols in seen), seen
