@@ -12,8 +12,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from pretzel_pi1.orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
-from pretzel_pi1.surgery import parse_slope
+from pretzel_pi1.knot import parse_slope
+from pretzel_pi1.orderability import replay_certificate
+from pretzel_pi1.surgery import DEFAULT_DEPTH, Certificate, nlo_search
 
 
 def main() -> int:

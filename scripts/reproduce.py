@@ -14,14 +14,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from pretzel_pi1.derivation import (
-    longitude_word,
-    run_pipeline,
-    verify_L_induction,
-    verify_R_induction,
-)
+from pretzel_pi1.derivation import run_pipeline, verify_L_induction, verify_R_induction
+from pretzel_pi1.knot import Slope, final_relator, h1_order, longitude_word
 from pretzel_pi1.presentations import replay_trace
-from pretzel_pi1.surgery import Slope, h1_order, verify_fact
+from pretzel_pi1.surgery import verify_fact
 from pretzel_pi1.words import CyclicWord, palindrome_rotation
 
 
@@ -37,7 +33,7 @@ def main() -> int:
         trace = run_pipeline(s).trace
         checks = {
             "replay": replay_trace(trace, check_abelian=True).ok,
-            "relator": trace.end.generators == ("c", "l"),
+            "relator": trace.end.relators == (("r_inf", final_relator(s)),),
             "longitude": trace.longitude_end == longitude_word(s),
             "R-induction": verify_R_induction(s).ok,
             "L-induction": verify_L_induction(s).ok,
@@ -50,7 +46,7 @@ def main() -> int:
         bad = [name for name, ok in checks.items() if not ok]
         status = "ok" if not bad else f"FAIL ({', '.join(bad)})"
         print(f"s={s:2d}  moves={len(trace.moves):3d}  "
-              f"relator_len={2 * s + 9:3d}  {elapsed:6.3f}s  {status}")
+              f"relator_len={len(trace.end.relator('r_inf')):3d}  {elapsed:6.3f}s  {status}")
         failures += len(bad)
     return 1 if failures else 0
 

@@ -14,9 +14,10 @@ import os
 import sys
 
 from . import __version__
-from .derivation import MoveRejected, run_pipeline, verify_L_induction, verify_R_induction
-from .knot import tunnel_collapse, wirtinger_presentation
-from .orderability import DEFAULT_DEPTH, Certificate, nlo_search, replay_certificate
+from .derivation import (MoveRejected, run_pipeline, tunnel_collapse, verify_L_induction,
+                         verify_R_induction, wirtinger_presentation)
+from .knot import SlopeError, h1_order, parse_slope
+from .orderability import replay_certificate
 from .presentations import (
     Check,
     Presentation,
@@ -26,14 +27,8 @@ from .presentations import (
     trace_from_json,
     trace_to_json,
 )
-from .surgery import (
-    SlopeError,
-    h1_order,
-    parse_slope,
-    surgered_presentation,
-    verify_fact,
-    verify_lemma_k,
-)
+from .surgery import (DEFAULT_DEPTH, Certificate, nlo_search, surgered_presentation,
+                      verify_fact, verify_lemma_k)
 from .words import Word, WordError, parse_word
 
 EXIT_PASS = 0

@@ -15,6 +15,14 @@ using justified consequences of the single relator.  Closed forms for
 the intermediate relators and longitude fragments are verified against
 an iterative substitution oracle (verify_R_induction, verify_L_induction).
 
+The starting data are generated straight from s: the Wirtinger
+presentation (one generator per arc, one relator per crossing), the
+tunnel moves that seed the pipeline, and the longitude read off the
+diagram.  The diagram itself is never modeled; the crossing schema is
+complete as a function of s.  The closed-form endpoints the derivation
+must reach, r_inf and the simplified longitude, are defined in knot.py,
+which the checkers read without loading this module.
+
 Products written prod(a, b, x_n) here iterate with a DECREASING index,
 x_a x_{a-1} ... x_b; a == b-1 gives the empty product and anything
 steeper is rejected.
@@ -25,14 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .knot import (
-    check_s,
-    initial_longitude,
-    strand_name,
-    tunnel_collapse,
-    tunnel_moves,
-    wirtinger_presentation,
-)
+from .knot import check_s, final_relator, knot_group_presentation, longitude_word
 from .presentations import (
     AddGenerator,
     Check,
@@ -79,6 +80,101 @@ def descending_product(a: int, b: int, factor: Callable[[int], Word]) -> Word:
     if a < b - 1:
         raise DerivationError(f"ascending product bounds {a}..{b} rejected")
     return splice(*(factor(n) for n in range(a, b - 1, -1)))
+
+
+# -- starting data ----------------------------------------------------------
+
+def strand_name(m: int, s: int) -> str:
+    """Arc label along the twist region: f_m, with f_0=a, f_2s=g, f_2s+1=b."""
+    if m == 0:
+        return "a"
+    if 1 <= m <= 2 * s - 1:
+        return f"f{m}"
+    if m == 2 * s:
+        return "g"
+    if m == 2 * s + 1:
+        return "b"
+    raise ValueError(f"strand index {m} out of range for s={s}")
+
+
+def _conjugation_relator(over: str, source: str, target: str) -> Word:
+    # crossing relation  over*source = source*target, stored reduced
+    return Word(((over, 1), (source, 1), (target, -1), (source, -1)))
+
+
+def wirtinger_presentation(s: int) -> Presentation:
+    """One generator per arc, one relator per crossing: 2s+6 of each."""
+    check_s(s)
+    gens = ["a", "b", "c", "d", "e", "f"]
+    gens += [f"f{i}" for i in range(1, 2 * s)]
+    gens.append("g")
+    relators: list[tuple[str, Word]] = [
+        ("r1", _conjugation_relator("c", "a", "d")),
+        ("r2", _conjugation_relator("a", "c", "b")),
+        ("r3", _conjugation_relator("d", "f", "e")),
+        ("r4", _conjugation_relator("f", "e", "c")),
+        ("r5", _conjugation_relator("e", "c", "g")),
+        ("r6", Word((("f1", 1), ("a", 1), ("f", -1), ("a", -1)))),
+    ]
+    for i in range(1, 2 * s):
+        word = Word(((strand_name(i + 1, s), 1), (strand_name(i, s), 1),
+                     (strand_name(i - 1, s), -1), (strand_name(i, s), -1)))
+        relators.append((f"r{i + 6}", word))
+    relators.append((f"r{2 * s + 6}",
+                     Word((("b", 1), ("g", 1), (strand_name(2 * s - 1, s), -1),
+                           ("g", -1)))))
+    return Presentation(tuple(gens), tuple(relators), provenance=f"wirtinger s={s}")
+
+
+def tunnel_moves(s: int) -> tuple:
+    """Attach the tunnel: add f0 defined as a, rewire the two adjacent crossings.
+
+    The r6/r7 rewrites touch a single occurrence of a each, so they are
+    expressed as justified insertions of the new relator rather than a
+    global substitution.
+    """
+    check_s(s)
+    macro = "tunnel"
+    return (
+        AddGenerator("f0", Word((("a", 1),)), "r_inf", macro=macro),
+        RewriteRelator("r6", (Insertion("r_inf", False, Word((("f1", 1),)), 0),),
+                       macro=macro),
+        RewriteRelator("r7", (Insertion("r_inf", True, Word((("f0", -1),)), 2),),
+                       macro=macro),
+    )
+
+
+def tunnel_collapse(s: int) -> Presentation:
+    p = wirtinger_presentation(s)
+    for move in tunnel_moves(s):
+        p = move.apply(p)
+    return p.replace(provenance=f"tunnel s={s}")
+
+
+@dataclass(frozen=True)
+class LongitudeReading:
+    """The longitude as read along the knot, plus the writhe correction.
+
+    arcs is the raw label sequence (2s+6 letters, all read positively
+    under the fixed orientation); alpha = -(sum of read signs) is the
+    exponent of the meridian correction appended at the end.
+    """
+    arcs: Word
+    alpha: int
+
+    @property
+    def word(self) -> Word:
+        return self.arcs * Word.from_syllables([("c", self.alpha)])
+
+
+def initial_longitude(s: int) -> LongitudeReading:
+    check_s(s)
+    arcs = [("a", 1), ("f", 1), ("c", 1)]
+    arcs += [(f"f{i}", 1) for i in range(2 * s - 1, 0, -2)]
+    arcs += [("c", 1), ("g", 1)]
+    arcs += [(f"f{i}", 1) for i in range(2 * s - 2, 1, -2)]
+    arcs += [("a", 1), ("e", 1)]
+    return LongitudeReading(Word(arcs), -(2 * s + 6))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -189,29 +285,7 @@ def verify_L_induction(s: int, fragments: Callable[[int, int], LongitudeFragment
     return report
 
 
-# -- closed-form endpoints ---------------------------------------------------
-
-def final_relator(s: int) -> Word:
-    check_s(s)
-    return Word.from_syllables([
-        ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1), ("l", -s),
-        ("c", -1), ("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", s - 1),
-    ])
-
-
-def knot_group_presentation(s: int) -> Presentation:
-    return Presentation(("c", "l"), (("r_inf", final_relator(s)),),
-                        provenance=f"knot_group s={s}")
-
-
-def longitude_word(s: int) -> Word:
-    """The simplified longitude: null-homologous companion of the meridian c."""
-    check_s(s)
-    return Word.from_syllables([
-        ("c", -(2 * s - 2)), ("l", 1), ("c", 1), ("l", s), ("c", 1),
-        ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9)),
-    ])
-
+# -- the pipeline longitude ---------------------------------------------------
 
 # the block the pipeline longitude repeats s-1 times
 _BRACKET = [("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1)]
@@ -274,7 +348,7 @@ def run_pipeline(s: int) -> PipelineResult:
     then the moves of simplify_longitude.  Every move is applied once, with
     all the checks of replay_trace, as it is recorded; raises MoveRejected at
     the first move that fails them.  The report ends with the checks of the
-    end presentation and of the closed-form longitude_word(s)."""
+    closed-form ends, knot_group_presentation(s) and longitude_word(s)."""
     check_s(s)
     start = wirtinger_presentation(s)
     lon_start = initial_longitude(s).word
@@ -363,9 +437,9 @@ def run_pipeline(s: int) -> PipelineResult:
     l12 = lon
     for move in simplify_longitude(s, l12):
         do(move)
-    # the end longitude is the closed form, so finish checks the stepper against it
-    trace = DerivationTrace(start, tuple(moves), p.replace(provenance=f"pipeline s={s}"),
-                            lon_start, longitude_word(s))
+    # the ends are the closed forms, so finish checks the stepper against them
+    end = knot_group_presentation(s).replace(provenance=f"pipeline s={s}")
+    trace = DerivationTrace(start, tuple(moves), end, lon_start, longitude_word(s))
     return PipelineResult(trace, l12, replay.finish(trace.end, trace.longitude_end))
 
 

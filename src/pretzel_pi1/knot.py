@@ -1,22 +1,30 @@
-"""Starting data for the (-2,3,2s+1) pretzel knot family.
+"""Closed forms and peripheral arithmetic of the (-2,3,2s+1) pretzel knot family.
 
-Everything is generated straight from the integer parameter s >= 3: the
-Wirtinger presentation of the knot group, the tunnel-collapsed variant
-that seeds the simplification pipeline, and the longitude read off the
-diagram.  The diagram itself is never modeled; the crossing schema is
-complete as a function of s.
+Everything here is a function of the integer parameter s >= 3 and of the
+filling slope p/q alone: the knot group relator r_inf, the simplified
+longitude, the clasp word the peripheral identity targets, the Bezout
+root of the peripheral lattice and |H_1| of a filling.  The three words
+are closed forms of 12, 9 and 7 syllables at every s.
+
+Both proof checkers read their targets from this module, so it imports
+nothing that produces a proof: the derivation that reaches r_inf and the
+longitude lives in derivation.py, the filling and the nlo search in
+surgery.py.
+
+|H_1| of a filling never needs the filling word.  Exponent sums add under
+products and survive free reduction, so c^p L^q abelianizes to
+p*row(c) + q*row(L), where row is presentations.exponent_row, the one
+name-keyed row that every H_1 here is read from.  So h1_order (which
+`h1`, `nlo` and certificate replay use) costs the same for every slope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .presentations import (
-    AddGenerator,
-    Insertion,
-    Presentation,
-    RewriteRelator,
-)
+from .presentations import Presentation, exponent_row, row_plus
+from .smith import group_order, sparse_invariants
 from .words import Word
 
 
@@ -26,94 +34,116 @@ def check_s(s: int) -> int:
     return s
 
 
-def strand_name(m: int, s: int) -> str:
-    """Arc label along the twist region: f_m, with f_0=a, f_2s=g, f_2s+1=b."""
-    if m == 0:
-        return "a"
-    if 1 <= m <= 2 * s - 1:
-        return f"f{m}"
-    if m == 2 * s:
-        return "g"
-    if m == 2 * s + 1:
-        return "b"
-    raise ValueError(f"strand index {m} out of range for s={s}")
-
-
-def _conjugation_relator(over: str, source: str, target: str) -> Word:
-    # crossing relation  over*source = source*target, stored reduced
-    return Word(((over, 1), (source, 1), (target, -1), (source, -1)))
-
-
-def wirtinger_presentation(s: int) -> Presentation:
-    """One generator per arc, one relator per crossing: 2s+6 of each."""
+def final_relator(s: int) -> Word:
     check_s(s)
-    gens = ["a", "b", "c", "d", "e", "f"]
-    gens += [f"f{i}" for i in range(1, 2 * s)]
-    gens.append("g")
-    relators: list[tuple[str, Word]] = [
-        ("r1", _conjugation_relator("c", "a", "d")),
-        ("r2", _conjugation_relator("a", "c", "b")),
-        ("r3", _conjugation_relator("d", "f", "e")),
-        ("r4", _conjugation_relator("f", "e", "c")),
-        ("r5", _conjugation_relator("e", "c", "g")),
-        ("r6", Word((("f1", 1), ("a", 1), ("f", -1), ("a", -1)))),
-    ]
-    for i in range(1, 2 * s):
-        word = Word(((strand_name(i + 1, s), 1), (strand_name(i, s), 1),
-                     (strand_name(i - 1, s), -1), (strand_name(i, s), -1)))
-        relators.append((f"r{i + 6}", word))
-    relators.append((f"r{2 * s + 6}",
-                     Word((("b", 1), ("g", 1), (strand_name(2 * s - 1, s), -1),
-                           ("g", -1)))))
-    return Presentation(tuple(gens), tuple(relators), provenance=f"wirtinger s={s}")
+    return Word.from_syllables([
+        ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1), ("l", -s),
+        ("c", -1), ("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", s - 1),
+    ])
 
 
-def tunnel_moves(s: int) -> tuple:
-    """Attach the tunnel: add f0 defined as a, rewire the two adjacent crossings.
+def knot_group_presentation(s: int) -> Presentation:
+    return Presentation(("c", "l"), (("r_inf", final_relator(s)),),
+                        provenance=f"knot_group s={s}")
 
-    The r6/r7 rewrites touch a single occurrence of a each, so they are
-    expressed as justified insertions of the new relator rather than a
-    global substitution.
-    """
+
+def longitude_word(s: int) -> Word:
+    """The simplified longitude: null-homologous companion of the meridian c."""
     check_s(s)
-    macro = "tunnel"
-    return (
-        AddGenerator("f0", Word((("a", 1),)), "r_inf", macro=macro),
-        RewriteRelator("r6", (Insertion("r_inf", False, Word((("f1", 1),)), 0),),
-                       macro=macro),
-        RewriteRelator("r7", (Insertion("r_inf", True, Word((("f0", -1),)), 2),),
-                       macro=macro),
-    )
+    return Word.from_syllables([
+        ("c", -(2 * s - 2)), ("l", 1), ("c", 1), ("l", s), ("c", 1),
+        ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9)),
+    ])
 
 
-def tunnel_collapse(s: int) -> Presentation:
-    p = wirtinger_presentation(s)
-    for move in tunnel_moves(s):
-        p = move.apply(p)
-    return p.replace(provenance=f"tunnel s={s}")
+def clasp_word(s: int) -> Word:
+    """The product l c l^s c l^s c l that the peripheral identity targets."""
+    check_s(s)
+    return Word.from_syllables([("l", 1), ("c", 1), ("l", s), ("c", 1),
+                                ("l", s), ("c", 1), ("l", 1)])
+
+
+def clasp_identity_holds(s: int) -> bool:
+    """~longitude == c^(2s+9) * ~clasp * c^(2s-2) by free reduction alone."""
+    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
+           * Word.from_syllables([("c", 2 * s - 2)]))
+    return ~longitude_word(s) == rhs
+
+
+class SlopeError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
-class LongitudeReading:
-    """The longitude as read along the knot, plus the writhe correction.
+class Slope:
+    p: int
+    q: int
 
-    arcs is the raw label sequence (2s+6 letters, all read positively
-    under the fixed orientation); alpha = -(sum of read signs) is the
-    exponent of the meridian correction appended at the end.
+    def __post_init__(self):
+        if self.q <= 0:
+            raise SlopeError(f"slope denominator must be positive, got {self.q}")
+        if math.gcd(abs(self.p), self.q) != 1:
+            raise SlopeError(f"slope {self.p}/{self.q} is not in lowest terms")
+
+    def __str__(self) -> str:
+        return f"{self.p}/{self.q}"
+
+
+def parse_slope(text: str) -> Slope:
+    head, sep, tail = text.partition("/")
+    try:
+        p = int(head)
+        q = int(tail) if sep else 1
+    except ValueError as exc:
+        raise SlopeError(f"cannot parse slope {text!r}") from exc
+    return Slope(p, q)
+
+
+@dataclass(frozen=True)
+class PeripheralVector:
+    """Exponents (meridian, longitude) in the rank-2 peripheral subgroup."""
+    m: int
+    l: int
+
+    def scaled(self, n: int) -> "PeripheralVector":
+        return PeripheralVector(n * self.m, n * self.l)
+
+    def congruent(self, other: "PeripheralVector", slope: Slope) -> bool:
+        """Equality modulo the filling sublattice Z*(p, q)."""
+        dm, dl = self.m - other.m, self.l - other.l
+        if dl % slope.q:
+            return False
+        return dm == (dl // slope.q) * slope.p
+
+
+def bezout_k(slope: Slope) -> PeripheralVector:
+    """The peripheral root k = M^s L^-r with rp + sq = 1, canonical pair.
+
+    Normalization: r = 0 when q = 1, otherwise the unique 0 <= r < q.
+    Any other Bezout pair shifts the vector by a filling-lattice element.
     """
-    arcs: Word
-    alpha: int
+    if slope.q == 1:
+        r, s = 0, 1
+    else:
+        r = pow(slope.p, -1, slope.q)
+        s = (1 - r * slope.p) // slope.q
+    assert r * slope.p + s * slope.q == 1
+    return PeripheralVector(s, -r)
 
-    @property
-    def word(self) -> Word:
-        return self.arcs * Word.from_syllables([("c", self.alpha)])
 
-
-def initial_longitude(s: int) -> LongitudeReading:
+def fact_exponent(s: int, slope: Slope) -> int:
+    """Exponent of k in the peripheral identity for the clasp word."""
     check_s(s)
-    arcs = [("a", 1), ("f", 1), ("c", 1)]
-    arcs += [(f"f{i}", 1) for i in range(2 * s - 1, 0, -2)]
-    arcs += [("c", 1), ("g", 1)]
-    arcs += [(f"f{i}", 1) for i in range(2 * s - 2, 1, -2)]
-    arcs += [("a", 1), ("e", 1)]
-    return LongitudeReading(Word(arcs), -(2 * s + 6))
+    return slope.p - (4 * s + 7) * slope.q
+
+
+def h1_order(s: int, slope: Slope) -> int:
+    """|H_1| of the filled manifold; 0 means infinite.
+
+    The same group as surgery.surgered_presentation(s, slope).abelian_invariants()
+    gives, from the exponent rows of its relators: row(r_inf), and
+    p*row(c) + q*row(L) for the filling.
+    """
+    r_inf = exponent_row(final_relator(s))
+    filling = row_plus({"c": slope.p}, exponent_row(longitude_word(s)), slope.q)
+    return group_order(sparse_invariants([r_inf, filling], 2))

@@ -1,4 +1,4 @@
-"""Positive-cone deduction engine and non-left-orderability certificates.
+"""The sign-deduction kernel that checks non-left-orderability certificates.
 
 Signs classify how a group element moves points of the line under an
 orientation-preserving action: Positive means every point moves up,
@@ -12,11 +12,14 @@ generators, while k is the peripheral root element carried symbolically
 and never expanded (its powers are tied to c and to the clasp word
 through the surgery identities, which the rules cite explicitly).  This
 k is unrelated to the short-lived generator of the same name inside the
-presentation pipeline; engine inputs are always two-generator groups.
+presentation pipeline; kernel inputs are always two-generator groups.
 
-Every rule is defined once, in RULES.  The engine records only what a
-rule returns; replay_certificate re-runs the rule of each journal line
-and compares, so emitted certificates stand on their own.
+Every rule is defined once, in RULES.  The search that writes
+certificates (surgery.nlo_search) records only what a rule returns;
+replay_certificate re-runs the rule of each journal line and compares,
+so emitted certificates stand on their own.  This module is the
+certificate checker and imports nothing that produces a certificate:
+its targets come from the closed forms of knot.py.
 """
 
 from __future__ import annotations
@@ -26,22 +29,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .derivation import check_s, final_relator, longitude_word
-from .presentations import Report
-from .surgery import (Slope, bezout_k, clasp_identity_holds, clasp_word, fact_exponent,
-                      h1_order)
+from .knot import (Slope, bezout_k, check_s, clasp_identity_holds, clasp_word,
+                   fact_exponent, final_relator, h1_order, longitude_word)
+from .presentations import Report, _bool, _decoded, _int
 from .words import CyclicWord, Word, parse_word, rotation_witness
-
-ENGINE_VERSION = "1.0"
-DEFAULT_DEPTH = 100_000
 
 
 class EngineError(RuntimeError):
     """A rule application the kernel refuses: a bad script or a bad certificate line."""
-
-
-class BudgetExhausted(RuntimeError):
-    pass
 
 
 class Sign(enum.Enum):
@@ -69,10 +64,19 @@ def _combine(a: Sign, b: Sign) -> Optional[Sign]:
 
 Fact = tuple[Word, Sign]
 
-K = Word((("k", 1),))
 C = Word((("c", 1),))
-COMPARISON = parse_word("c^-1 l^-1 c^-1 l c l c")  # traded by one relator copy
-ISOLATE_L = parse_word("c l c")  # un-conjugates the traded comparison word to l
+
+
+def _exactly(value, expected) -> bool:
+    """value == expected with every JSON type exact: true is no 1, and 2.0 no 2."""
+    if type(value) is not type(expected):
+        return False
+    if isinstance(expected, dict):
+        return value.keys() == expected.keys() and all(
+            _exactly(value[key], item) for key, item in expected.items())
+    if isinstance(expected, list):
+        return len(value) == len(expected) and all(map(_exactly, value, expected))
+    return value == expected
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def clash(ctx: BranchContext, a: Fact, b: Fact) -> Optional[str]:
 # not apply.  Assume and relator read the claim to check a target.  Power
 # reads its length, when given, to bound n before building the power: a
 # non-empty word's n-th power has at least n letters.  Replay always gives
-# the claim; the engine, which only builds true lines, gives none.
+# the claim; the search, which only builds true lines, gives none.
 
 def _is_root_power(word: Word, n: int) -> bool:
     """word == k^n, decided on the letters without building the power."""
@@ -142,7 +146,7 @@ def _assume(ctx, prem, args, claim):
 
 def _power(ctx, prem, args, claim):
     (word, sign), = prem
-    n = int(args["n"])
+    n = _int(args["n"])
     if n < 1:
         raise EngineError("power rule needs n >= 1")
     if claim is not None and n > len(claim[0]):
@@ -176,7 +180,7 @@ def _relator(ctx, prem, args, claim):
     core = ctx.cores.get(args["relator"])
     witness = None if core is None else rotation_witness(~target * word, core)
     if not witness or (witness["rotation"], witness["inverted"]) != (
-            args["rotation"], args["inverted"]):
+            _int(args["rotation"]), _bool(args["inverted"])):
         raise EngineError("relator transfer not witnessed by a relator of the group")
     return target, sign
 
@@ -185,8 +189,8 @@ def _peripheral_meridian(ctx, prem, args, claim):
     """k^q equals the meridian c in the filled group."""
     (word, sign), = prem
     slope, vec = ctx.slope, bezout_k(ctx.slope)
-    if not _is_root_power(word, slope.q) or args != {
-            "p": slope.p, "q": slope.q, "bezout": [vec.m, vec.l]}:
+    if not _is_root_power(word, slope.q) or not _exactly(args, {
+            "p": slope.p, "q": slope.q, "bezout": [vec.m, vec.l]}):
         raise EngineError("peripheral-meridian needs k^q and the slope's bezout pair")
     return C, sign
 
@@ -196,7 +200,7 @@ def _fact_exponent(ctx, prem, args, claim):
     (word, sign), = prem
     power = -fact_exponent(ctx.s, ctx.slope)
     clasp = clasp_word(ctx.s)
-    if args != {"clasp_power": power, "p": ctx.slope.p, "q": ctx.slope.q}:
+    if not _exactly(args, {"clasp_power": power, "p": ctx.slope.p, "q": ctx.slope.q}):
         raise EngineError("exponent bookkeeping is wrong")
     if power == 0 and word == clasp:  # the premise is the clasp word's own sign
         return clasp, Sign.IDENTITY
@@ -207,7 +211,8 @@ def _fact_exponent(ctx, prem, args, claim):
 
 def _abelian_obstruction(ctx, prem, args, claim):
     """A trivially acting meridian kills H1, which has order > 1."""
-    if prem != ((C, Sign.IDENTITY),) or args != {"h1_order": ctx.h1} or ctx.h1 < 2:
+    if (prem != ((C, Sign.IDENTITY),) or not _exactly(args, {"h1_order": ctx.h1})
+            or ctx.h1 < 2):
         raise EngineError("needs a trivially acting meridian and H1 of order > 1")
     return None
 
@@ -236,288 +241,6 @@ RULES = {
 }
 
 
-def _transfer_args(ctx: BranchContext, word: Word, target: Word) -> dict:
-    """Relator-rule args citing the relator copy that equates word and target."""
-    diff = ~target * word
-    for tokens, core in ctx.cores.items():
-        witness = rotation_witness(diff, core)
-        if witness:
-            return {"relator": tokens, "rotation": witness["rotation"],
-                    "inverted": witness["inverted"]}
-    raise EngineError(f"{word} and {target} differ by no single relator copy")
-
-
-# -- the engine ---------------------------------------------------------------
-
-@dataclass
-class JournalLine:
-    rule: str
-    premises: tuple[int, ...]
-    args: dict
-    word: Optional[Word]
-    sign: Optional[Sign]
-    note: str = ""
-
-    def to_json(self) -> dict:
-        if self.word is None:
-            conclusion = {"contradiction": True}
-        else:
-            conclusion = {"word": self.word.tokens(), "sign": self.sign.value}
-        data = {"rule": self.rule, "premises": list(self.premises),
-                "args": self.args, "conclusion": conclusion}
-        if self.note:
-            data["note"] = self.note
-        return data
-
-
-class Contradiction(Exception):
-    def __init__(self, line_index: int):
-        super().__init__(f"contradiction at journal line {line_index}")
-
-
-@dataclass
-class Branch:
-    """One case of the order argument: a partial sign assignment with its
-    deduction journal and budget.
-
-    Lines enter only through `apply`, which records what a RULES entry
-    returns and checks each new classification with `clash` against
-    itself and the signs already known for its word and inverse.  Every
-    line but a closing one is charged to the budget, and a line past the
-    budget is refused before its rule runs.
-    """
-    name: str = ""
-    ctx: BranchContext = field(default_factory=BranchContext)
-    budget: int = DEFAULT_DEPTH
-    note: str = ""
-    used: int = 0
-    journal: list[JournalLine] = field(default_factory=list)
-    signs: dict = field(default_factory=dict)
-    outcome: str = "open"  # open | contradiction | budget
-
-    def fact(self, idx: int) -> Fact:
-        if not 0 <= idx < len(self.journal) or self.journal[idx].word is None:
-            raise EngineError(f"line {idx} is not a classification")
-        return self.journal[idx].word, self.journal[idx].sign
-
-    def apply(self, rule: str, premises: tuple[int, ...], args: dict,
-              claim: Optional[Fact] = None, note: str = "") -> int:
-        """Run RULES[rule] on recorded premises and record its conclusion."""
-        if self.outcome == "contradiction":
-            raise EngineError("branch already closed")
-        if rule not in CLOSING_RULES and self.used >= self.budget:
-            self.outcome = "budget"
-            raise BudgetExhausted(f"depth budget {self.budget} exhausted")
-        conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
-                                 args, claim)
-        if conclusion is None:
-            self._close(rule, premises, args, note)
-        self.used += 1
-        word, sign = conclusion
-        self.journal.append(JournalLine(rule, premises, args, word, sign, note))
-        idx = len(self.journal) - 1
-        partners = [(idx, conclusion)]
-        for known in (word, ~word):
-            entry = self.signs.get(known.letters)
-            if entry:
-                partners.append((entry[1], (known, entry[0])))
-        for other_idx, other in partners:
-            reason = clash(self.ctx, conclusion, other)
-            if reason:
-                self._close("contradiction", (idx, other_idx), {}, reason)
-        self.signs.setdefault(word.letters, (sign, idx))
-        return idx
-
-    def _close(self, rule: str, premises: tuple[int, ...], args: dict, note: str):
-        self.journal.append(JournalLine(rule, premises, args, None, None, note))
-        self.outcome = "contradiction"
-        raise Contradiction(len(self.journal) - 1)
-
-    def assume(self, word: Word, sign: Sign, note: str = "") -> int:
-        """Declare word ~ sign a hypothesis of the branch and record it."""
-        declared = {"word": word.tokens(), "sign": sign.value}
-        if declared not in self.ctx.assumptions:
-            self.ctx.assumptions.append(declared)
-        return self.apply("assume", (), {}, (word, sign), note)
-
-    def transfer(self, idx: int, target: Word, note: str = "") -> int:
-        """Carry the sign of line idx to target across one relator copy."""
-        args = _transfer_args(self.ctx, self.fact(idx)[0], target)
-        return self.apply("relator", (idx,), args, (target, None), note)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "assumptions": self.ctx.assumptions,
-                "journal": [line.to_json() for line in self.journal],
-                "outcome": self.outcome, "note": self.note}
-
-
-# -- scripted replays of the order arguments ---------------------------------
-
-def _meridian_root_line(branch: Branch, slope: Slope, root_idx: int) -> int:
-    """k^q classified, then transported to the meridian c."""
-    kq_idx = root_idx if slope.q == 1 else branch.apply(
-        "power", (root_idx,), {"n": slope.q}, note="q-th power of the peripheral root")
-    pair = bezout_k(slope)
-    return branch.apply(
-        "peripheral-meridian", (kq_idx,),
-        {"p": slope.p, "q": slope.q, "bezout": [pair.m, pair.l]},
-        note="k^q equals the meridian in the filled group")
-
-
-def _lemma_chain(branch: Branch, s: int, slope: Slope, root_sign: Sign) -> dict:
-    """Journal the chain from a strictly signed root to a signed l.
-
-    The meridian inherits the sign, a conjugate of it rides along the
-    clasp prefix, one rotated relator copy trades the comparison word,
-    and un-conjugating isolates l.  Returns the key journal indices.
-    """
-    root = branch.assume(K, root_sign, note="root normalization")
-    c_idx = _meridian_root_line(branch, slope, root)
-    w = parse_word(f"l c l^{s} c l")  # the clasp prefix
-    conj_idx = branch.apply("conjugate", (c_idx,), {"conjugator": (~w).tokens()},
-                            note="meridian conjugated along the clasp prefix")
-    prod_idx = branch.apply("product", (conj_idx, c_idx), {})
-    d_idx = branch.transfer(prod_idx, COMPARISON,
-                            note="trade the comparison word by one relator copy")
-    l_idx = branch.apply("conjugate", (d_idx,), {"conjugator": ISOLATE_L.tokens()},
-                         note="un-conjugate to isolate l")
-    return {"root": root, "c": c_idx, "l": l_idx}
-
-
-def replay_lemma_l_positive(s: int, slope: Slope, root_sign: Sign = Sign.POSITIVE,
-                            budget: int = DEFAULT_DEPTH) -> Branch:
-    """Scripted replay: a strictly signed root forces l to the same sign."""
-    if root_sign is Sign.IDENTITY:
-        raise EngineError("the identity root is handled by the degenerate branch")
-    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
-                    budget)
-    _lemma_chain(branch, s, slope, root_sign)
-    return branch
-
-
-@dataclass
-class Certificate:
-    s: int
-    slope: Slope
-    branches: list[Branch]
-    depth_used: int
-    depth_budget: int
-
-    def to_json(self) -> dict:
-        return {
-            "params": _params_json(self.s, self.slope, self.depth_budget),
-            "branches": [b.to_json() for b in self.branches],
-            "symmetry": ("the k-negative case is the orientation mirror of the "
-                         "k-positive branch; reversing the line swaps the signs"),
-            "interpretation": (
-                "every orientation-preserving action of the filled group on the "
-                "line has a globally fixed point, hence the group (countable) "
-                "carries no left-invariant total order"),
-            "verdict": "not_left_orderable",
-            "engine_version": ENGINE_VERSION,
-            "depth_used": self.depth_used,
-        }
-
-
-@dataclass
-class Inconclusive:
-    s: int
-    slope: Slope
-    reason: str
-    branches: list[Branch]
-    depth_budget: int
-
-    def to_json(self) -> dict:
-        return {
-            "params": _params_json(self.s, self.slope, self.depth_budget),
-            "branches": [b.to_json() for b in self.branches],
-            "verdict": "inconclusive",
-            "reason": self.reason,
-            "engine_version": ENGINE_VERSION,
-        }
-
-
-def _params_json(s: int, slope: Slope, depth: int) -> dict:
-    return {"s": s, "p": slope.p, "q": slope.q, "depth": depth,
-            "p_odd": slope.p % 2 != 0,
-            "slope_bound": 4 * s + 7,
-            "relator": final_relator(s).tokens(),
-            "longitude": longitude_word(s).tokens(),
-            "clasp": clasp_word(s).tokens()}
-
-
-def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> Branch:
-    """The main case: a fixed-point-free root normalized to one sign."""
-    e = fact_exponent(s, slope)  # p - (4s+7) q
-    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
-                    budget)
-    try:
-        marks = _lemma_chain(branch, s, slope, root_sign)
-        c_idx, l_idx = marks["c"], marks["l"]
-        branch.apply("power", (c_idx,), {"n": 3}, note="the meridian cube bound")
-        ls_idx = branch.apply("power", (l_idx,), {"n": s})
-        factors = (c_idx, ls_idx, c_idx, ls_idx, c_idx, l_idx)  # l c l^s c l^s c l
-        w0_idx = l_idx
-        for n, factor in enumerate(factors, 1):
-            w0_idx = branch.apply("product", (w0_idx, factor), {}, note=(
-                "the clasp word, signed by products" if n == len(factors) else ""))
-        # the peripheral identity: clasp = k^((4s+7)q - p) = k^(-e)
-        args = {"clasp_power": -e, "p": slope.p, "q": slope.q}
-        if e < 0:
-            branch.note = (f"slope below the bound: the clasp word is k^{-e}, a positive "
-                           f"power of the root, consistent with its sign")
-        elif e == 0:
-            branch.apply("fact-exponent", (w0_idx,), args,
-                         note="zero peripheral exponent: the clasp word is trivial")
-        else:
-            kinv = branch.apply("inverse", (marks["root"],), {})
-            kpow = kinv if e == 1 else branch.apply("power", (kinv,), {"n": e})
-            branch.apply("fact-exponent", (kpow,), args,
-                         note="the clasp word is this negative power of the root")
-    except (Contradiction, BudgetExhausted):
-        pass
-    return branch
-
-
-def _identity_branch(s: int, slope: Slope, budget: int) -> Branch:
-    """The degenerate case: the root acts trivially."""
-    branch = Branch("k_identity", BranchContext((final_relator(s),), s, slope), budget)
-    try:
-        root = branch.assume(K, Sign.IDENTITY, note="degenerate root")
-        c_idx = _meridian_root_line(branch, slope, root)
-        order = branch.ctx.h1
-        if order == 1 or order == 0:
-            branch.note = f"H1 has order {order}; a trivial meridian is not obstructed"
-        else:
-            branch.apply("abelian-obstruction", (c_idx,), {"h1_order": order},
-                         note="a trivially-acting meridian kills H1, which has order > 1")
-    except (Contradiction, BudgetExhausted):
-        pass
-    return branch
-
-
-def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):
-    """Case tree for non-left-orderability of the filled group.
-
-    Returns a Certificate when every branch reaches a contradiction and
-    an honest Inconclusive otherwise (slope below the bound, or budget).
-    """
-    check_s(s)
-    if depth < 1:
-        raise ValueError("depth budget must be at least 1")
-    branches = [_strict_branch(s, slope, Sign.POSITIVE, depth),
-                _identity_branch(s, slope, depth)]
-    depth_used = sum(len(b.journal) for b in branches)
-    if all(b.outcome == "contradiction" for b in branches):
-        return Certificate(s, slope, branches, depth_used, depth)
-    if any(b.outcome == "budget" for b in branches):
-        reason = "depth budget exhausted"
-    else:
-        open_notes = "; ".join(b.note for b in branches if b.outcome == "open")
-        reason = open_notes or "some branch stayed open"
-    return Inconclusive(s, slope, reason, branches, depth)
-
-
 # -- certificate replay -------------------------------------------------------
 
 def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
@@ -534,7 +257,7 @@ def _replay_journal(ctx: BranchContext, journal: list) -> Optional[str]:
             rule, conclusion = line["rule"], line["conclusion"]
             if rule not in RULES:
                 raise EngineError(f"unknown rule {rule!r}")
-            claim = None if conclusion == {"contradiction": True} else (
+            claim = None if _exactly(conclusion, {"contradiction": True}) else (
                 parse_word(conclusion["word"]), Sign(conclusion["sign"]))
             if claim is None and rule not in CLOSING_RULES:  # before it does any work
                 raise EngineError(f"{rule} does not conclude the claimed {conclusion}")
@@ -559,8 +282,9 @@ def replay_certificate(cert: dict) -> Report:
     report = Report("certificate replay")
     try:
         params, branches = cert["params"], cert["branches"]
-        s = check_s(params["s"])
-        slope = Slope(params["p"], params["q"])
+        s, p, q = (_decoded(key, _int, params[key]) for key in ("s", "p", "q"))
+        check_s(s)
+        slope = Slope(p, q)
         relator = final_relator(s)
         cited = {"relator": relator, "longitude": longitude_word(s), "clasp": clasp_word(s)}
         for key, word in cited.items():

@@ -1,4 +1,4 @@
-"""Dehn surgery quotients and peripheral arithmetic.
+"""Dehn surgery quotients, the peripheral checks, and the nlo certificate search.
 
 The filled group is <c,l | r_inf(s), c^p L(s)^q> with meridian M = c and
 longitude L the simplified null-homologous word.  M and L commute (they
@@ -6,91 +6,32 @@ live on the boundary torus), so identities among peripheral elements are
 decided exactly in Z^2 modulo the sublattice generated by (p, q); no
 word search in the group is ever needed for them.
 
-|H_1| of a filling never needs the filling word either.  Exponent sums add
-under products and survive free reduction, so c^p L^q abelianizes to
-p*row(c) + q*row(L), where row is presentations.exponent_row, the one
-name-keyed row that every H_1 here is read from.  So h1_order (which `h1`,
-`nlo` and certificate replay use) costs the same for every slope.
-surgered_presentation, for the `surgery` command, still builds the
-filling word: in one pass, from the run of c^p and q copies of the runs
-of L, reduced only at the seams, so it costs p + q|L| letters.  Only the
-`power` rule of the orderability engine multiplies a word by itself.
+surgered_presentation, for the `surgery` command, builds the filling word
+in one pass, from the run of c^p and q copies of the runs of L, reduced
+only at the seams, so it costs p + q|L| letters.  |H_1| never needs it
+(knot.h1_order).
+
+nlo_search writes the non-left-orderability argument as a case tree of
+Branch objects, each a deduction journal whose every line is what a rule
+of orderability.RULES returned.  The certificate it emits is checked by
+orderability.replay_certificate, which imports nothing from here.  Only
+the `power` rule multiplies a word by itself.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
-from .derivation import check_s, final_relator, longitude_word
-from .presentations import Presentation, Report, exponent_row, row_plus
-from .smith import group_order, sparse_invariants
-from .words import _MAX_RUN, Word, WordError, _run
-
-
-class SlopeError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Slope:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise SlopeError(f"slope denominator must be positive, got {self.q}")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise SlopeError(f"slope {self.p}/{self.q} is not in lowest terms")
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
-
-def parse_slope(text: str) -> Slope:
-    head, sep, tail = text.partition("/")
-    try:
-        p = int(head)
-        q = int(tail) if sep else 1
-    except ValueError as exc:
-        raise SlopeError(f"cannot parse slope {text!r}") from exc
-    return Slope(p, q)
-
-
-@dataclass(frozen=True)
-class PeripheralVector:
-    """Exponents (meridian, longitude) in the rank-2 peripheral subgroup."""
-    m: int
-    l: int
-
-    def scaled(self, n: int) -> "PeripheralVector":
-        return PeripheralVector(n * self.m, n * self.l)
-
-    def congruent(self, other: "PeripheralVector", slope: Slope) -> bool:
-        """Equality modulo the filling sublattice Z*(p, q)."""
-        dm, dl = self.m - other.m, self.l - other.l
-        if dl % slope.q:
-            return False
-        return dm == (dl // slope.q) * slope.p
-
+from .knot import (PeripheralVector, Slope, bezout_k, check_s, clasp_identity_holds,
+                   clasp_word, fact_exponent, final_relator, longitude_word)
+from .orderability import (CLOSING_RULES, RULES, BranchContext, EngineError, Fact, Sign,
+                           clash)
+from .presentations import Presentation, Report
+from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness
 
 MERIDIAN = PeripheralVector(1, 0)
 LONGITUDE = PeripheralVector(0, 1)
-
-
-def bezout_k(slope: Slope) -> PeripheralVector:
-    """The peripheral root k = M^s L^-r with rp + sq = 1, canonical pair.
-
-    Normalization: r = 0 when q = 1, otherwise the unique 0 <= r < q.
-    Any other Bezout pair shifts the vector by a filling-lattice element.
-    """
-    if slope.q == 1:
-        r, s = 0, 1
-    else:
-        r = pow(slope.p, -1, slope.q)
-        s = (1 - r * slope.p) // slope.q
-    assert r * slope.p + s * slope.q == 1
-    return PeripheralVector(s, -r)
 
 
 def verify_lemma_k(slope: Slope) -> Report:
@@ -100,26 +41,6 @@ def verify_lemma_k(slope: Slope) -> Report:
     report.add(f"k^{slope.q} = M", k.scaled(slope.q).congruent(MERIDIAN, slope))
     report.add(f"k^{-slope.p} = L", k.scaled(-slope.p).congruent(LONGITUDE, slope))
     return report
-
-
-def fact_exponent(s: int, slope: Slope) -> int:
-    """Exponent of k in the peripheral identity for the clasp word."""
-    check_s(s)
-    return slope.p - (4 * s + 7) * slope.q
-
-
-def clasp_word(s: int) -> Word:
-    """The product l c l^s c l^s c l that the peripheral identity targets."""
-    check_s(s)
-    return Word.from_syllables([("l", 1), ("c", 1), ("l", s), ("c", 1),
-                                ("l", s), ("c", 1), ("l", 1)])
-
-
-def clasp_identity_holds(s: int) -> bool:
-    """~longitude == c^(2s+9) * ~clasp * c^(2s-2) by free reduction alone."""
-    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
-           * Word.from_syllables([("c", 2 * s - 2)]))
-    return ~longitude_word(s) == rhs
 
 
 def verify_fact(s: int) -> Report:
@@ -151,13 +72,295 @@ def surgered_presentation(s: int, slope: Slope) -> Presentation:
         provenance=f"surgery s={s} slope={slope}")
 
 
-def h1_order(s: int, slope: Slope) -> int:
-    """|H_1| of the filled manifold; 0 means infinite.
+# -- the nlo search -----------------------------------------------------------
 
-    The same group as surgered_presentation(s, slope).abelian_invariants()
-    gives, from the exponent rows of its relators: row(r_inf), and
-    p*row(c) + q*row(L) for the filling.
+ENGINE_VERSION = "1.0"
+DEFAULT_DEPTH = 100_000
+
+K = Word((("k", 1),))
+COMPARISON = parse_word("c^-1 l^-1 c^-1 l c l c")  # traded by one relator copy
+ISOLATE_L = parse_word("c l c")  # un-conjugates the traded comparison word to l
+
+
+class BudgetExhausted(RuntimeError):
+    pass
+
+
+def _transfer_args(ctx: BranchContext, word: Word, target: Word) -> dict:
+    """Relator-rule args citing the relator copy that equates word and target."""
+    diff = ~target * word
+    for tokens, core in ctx.cores.items():
+        witness = rotation_witness(diff, core)
+        if witness:
+            return {"relator": tokens, "rotation": witness["rotation"],
+                    "inverted": witness["inverted"]}
+    raise EngineError(f"{word} and {target} differ by no single relator copy")
+
+
+@dataclass
+class JournalLine:
+    rule: str
+    premises: tuple[int, ...]
+    args: dict
+    word: Optional[Word]
+    sign: Optional[Sign]
+    note: str = ""
+
+    def to_json(self) -> dict:
+        if self.word is None:
+            conclusion = {"contradiction": True}
+        else:
+            conclusion = {"word": self.word.tokens(), "sign": self.sign.value}
+        data = {"rule": self.rule, "premises": list(self.premises),
+                "args": self.args, "conclusion": conclusion}
+        if self.note:
+            data["note"] = self.note
+        return data
+
+
+class Contradiction(Exception):
+    def __init__(self, line_index: int):
+        super().__init__(f"contradiction at journal line {line_index}")
+
+
+@dataclass
+class Branch:
+    """One case of the order argument: a partial sign assignment with its
+    deduction journal and budget.
+
+    Lines enter only through `apply`, which records what a RULES entry
+    returns and checks each new classification with `clash` against
+    itself and the signs already known for its word and inverse.  Every
+    line but a closing one is charged to the budget, and a line past the
+    budget is refused before its rule runs.
     """
-    r_inf = exponent_row(final_relator(s))
-    filling = row_plus({"c": slope.p}, exponent_row(longitude_word(s)), slope.q)
-    return group_order(sparse_invariants([r_inf, filling], 2))
+    name: str = ""
+    ctx: BranchContext = field(default_factory=BranchContext)
+    budget: int = DEFAULT_DEPTH
+    note: str = ""
+    used: int = 0
+    journal: list[JournalLine] = field(default_factory=list)
+    signs: dict = field(default_factory=dict)
+    outcome: str = "open"  # open | contradiction | budget
+
+    def fact(self, idx: int) -> Fact:
+        if not 0 <= idx < len(self.journal) or self.journal[idx].word is None:
+            raise EngineError(f"line {idx} is not a classification")
+        return self.journal[idx].word, self.journal[idx].sign
+
+    def apply(self, rule: str, premises: tuple[int, ...], args: dict,
+              claim: Optional[Fact] = None, note: str = "") -> int:
+        """Run RULES[rule] on recorded premises and record its conclusion."""
+        if self.outcome == "contradiction":
+            raise EngineError("branch already closed")
+        if rule not in CLOSING_RULES and self.used >= self.budget:
+            self.outcome = "budget"
+            raise BudgetExhausted(f"depth budget {self.budget} exhausted")
+        conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
+                                 args, claim)
+        if conclusion is None:
+            self._close(rule, premises, args, note)
+        self.used += 1
+        word, sign = conclusion
+        self.journal.append(JournalLine(rule, premises, args, word, sign, note))
+        idx = len(self.journal) - 1
+        partners = [(idx, conclusion)]
+        for known in (word, ~word):
+            entry = self.signs.get(known.letters)
+            if entry:
+                partners.append((entry[1], (known, entry[0])))
+        for other_idx, other in partners:
+            reason = clash(self.ctx, conclusion, other)
+            if reason:
+                self._close("contradiction", (idx, other_idx), {}, reason)
+        self.signs.setdefault(word.letters, (sign, idx))
+        return idx
+
+    def _close(self, rule: str, premises: tuple[int, ...], args: dict, note: str):
+        self.journal.append(JournalLine(rule, premises, args, None, None, note))
+        self.outcome = "contradiction"
+        raise Contradiction(len(self.journal) - 1)
+
+    def assume(self, word: Word, sign: Sign, note: str = "") -> int:
+        """Declare word ~ sign a hypothesis of the branch and record it."""
+        declared = {"word": word.tokens(), "sign": sign.value}
+        if declared not in self.ctx.assumptions:
+            self.ctx.assumptions.append(declared)
+        return self.apply("assume", (), {}, (word, sign), note)
+
+    def transfer(self, idx: int, target: Word, note: str = "") -> int:
+        """Carry the sign of line idx to target across one relator copy."""
+        args = _transfer_args(self.ctx, self.fact(idx)[0], target)
+        return self.apply("relator", (idx,), args, (target, None), note)
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "assumptions": self.ctx.assumptions,
+                "journal": [line.to_json() for line in self.journal],
+                "outcome": self.outcome, "note": self.note}
+
+
+# -- scripted replays of the order arguments ---------------------------------
+
+def _meridian_root_line(branch: Branch, slope: Slope, root_idx: int) -> int:
+    """k^q classified, then transported to the meridian c."""
+    kq_idx = root_idx if slope.q == 1 else branch.apply(
+        "power", (root_idx,), {"n": slope.q}, note="q-th power of the peripheral root")
+    pair = bezout_k(slope)
+    return branch.apply(
+        "peripheral-meridian", (kq_idx,),
+        {"p": slope.p, "q": slope.q, "bezout": [pair.m, pair.l]},
+        note="k^q equals the meridian in the filled group")
+
+
+def _lemma_chain(branch: Branch, s: int, slope: Slope, root_sign: Sign) -> dict:
+    """Journal the chain from a strictly signed root to a signed l.
+
+    The meridian inherits the sign, a conjugate of it rides along the
+    clasp prefix, one rotated relator copy trades the comparison word,
+    and un-conjugating isolates l.  Returns the key journal indices.
+    """
+    root = branch.assume(K, root_sign, note="root normalization")
+    c_idx = _meridian_root_line(branch, slope, root)
+    w = parse_word(f"l c l^{s} c l")  # the clasp prefix
+    conj_idx = branch.apply("conjugate", (c_idx,), {"conjugator": (~w).tokens()},
+                            note="meridian conjugated along the clasp prefix")
+    prod_idx = branch.apply("product", (conj_idx, c_idx), {})
+    d_idx = branch.transfer(prod_idx, COMPARISON,
+                            note="trade the comparison word by one relator copy")
+    l_idx = branch.apply("conjugate", (d_idx,), {"conjugator": ISOLATE_L.tokens()},
+                         note="un-conjugate to isolate l")
+    return {"root": root, "c": c_idx, "l": l_idx}
+
+
+def replay_lemma_l_positive(s: int, slope: Slope, root_sign: Sign = Sign.POSITIVE,
+                            budget: int = DEFAULT_DEPTH) -> Branch:
+    """Scripted replay: a strictly signed root forces l to the same sign."""
+    if root_sign is Sign.IDENTITY:
+        raise EngineError("the identity root is handled by the degenerate branch")
+    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
+                    budget)
+    _lemma_chain(branch, s, slope, root_sign)
+    return branch
+
+
+@dataclass
+class Certificate:
+    s: int
+    slope: Slope
+    branches: list[Branch]
+    depth_used: int
+    depth_budget: int
+
+    def to_json(self) -> dict:
+        return {
+            "params": _params_json(self.s, self.slope, self.depth_budget),
+            "branches": [b.to_json() for b in self.branches],
+            "symmetry": ("the k-negative case is the orientation mirror of the "
+                         "k-positive branch; reversing the line swaps the signs"),
+            "interpretation": (
+                "every orientation-preserving action of the filled group on the "
+                "line has a globally fixed point, hence the group (countable) "
+                "carries no left-invariant total order"),
+            "verdict": "not_left_orderable",
+            "engine_version": ENGINE_VERSION,
+            "depth_used": self.depth_used,
+        }
+
+
+@dataclass
+class Inconclusive:
+    s: int
+    slope: Slope
+    reason: str
+    branches: list[Branch]
+    depth_budget: int
+
+    def to_json(self) -> dict:
+        return {
+            "params": _params_json(self.s, self.slope, self.depth_budget),
+            "branches": [b.to_json() for b in self.branches],
+            "verdict": "inconclusive",
+            "reason": self.reason,
+            "engine_version": ENGINE_VERSION,
+        }
+
+
+def _params_json(s: int, slope: Slope, depth: int) -> dict:
+    return {"s": s, "p": slope.p, "q": slope.q, "depth": depth,
+            "p_odd": slope.p % 2 != 0,
+            "slope_bound": 4 * s + 7,
+            "relator": final_relator(s).tokens(),
+            "longitude": longitude_word(s).tokens(),
+            "clasp": clasp_word(s).tokens()}
+
+
+def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> Branch:
+    """The main case: a fixed-point-free root normalized to one sign."""
+    e = fact_exponent(s, slope)  # p - (4s+7) q
+    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
+                    budget)
+    try:
+        marks = _lemma_chain(branch, s, slope, root_sign)
+        c_idx, l_idx = marks["c"], marks["l"]
+        branch.apply("power", (c_idx,), {"n": 3}, note="the meridian cube bound")
+        ls_idx = branch.apply("power", (l_idx,), {"n": s})
+        factors = (c_idx, ls_idx, c_idx, ls_idx, c_idx, l_idx)  # l c l^s c l^s c l
+        w0_idx = l_idx
+        for n, factor in enumerate(factors, 1):
+            w0_idx = branch.apply("product", (w0_idx, factor), {}, note=(
+                "the clasp word, signed by products" if n == len(factors) else ""))
+        # the peripheral identity: clasp = k^((4s+7)q - p) = k^(-e)
+        args = {"clasp_power": -e, "p": slope.p, "q": slope.q}
+        if e < 0:
+            branch.note = (f"slope below the bound: the clasp word is k^{-e}, a positive "
+                           f"power of the root, consistent with its sign")
+        elif e == 0:
+            branch.apply("fact-exponent", (w0_idx,), args,
+                         note="zero peripheral exponent: the clasp word is trivial")
+        else:
+            kinv = branch.apply("inverse", (marks["root"],), {})
+            kpow = kinv if e == 1 else branch.apply("power", (kinv,), {"n": e})
+            branch.apply("fact-exponent", (kpow,), args,
+                         note="the clasp word is this negative power of the root")
+    except (Contradiction, BudgetExhausted):
+        pass
+    return branch
+
+
+def _identity_branch(s: int, slope: Slope, budget: int) -> Branch:
+    """The degenerate case: the root acts trivially."""
+    branch = Branch("k_identity", BranchContext((final_relator(s),), s, slope), budget)
+    try:
+        root = branch.assume(K, Sign.IDENTITY, note="degenerate root")
+        c_idx = _meridian_root_line(branch, slope, root)
+        order = branch.ctx.h1
+        if order == 1 or order == 0:
+            branch.note = f"H1 has order {order}; a trivial meridian is not obstructed"
+        else:
+            branch.apply("abelian-obstruction", (c_idx,), {"h1_order": order},
+                         note="a trivially-acting meridian kills H1, which has order > 1")
+    except (Contradiction, BudgetExhausted):
+        pass
+    return branch
+
+
+def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):
+    """Case tree for non-left-orderability of the filled group.
+
+    Returns a Certificate when every branch reaches a contradiction and
+    an honest Inconclusive otherwise (slope below the bound, or budget).
+    """
+    check_s(s)
+    if depth < 1:
+        raise ValueError("depth budget must be at least 1")
+    branches = [_strict_branch(s, slope, Sign.POSITIVE, depth),
+                _identity_branch(s, slope, depth)]
+    depth_used = sum(len(b.journal) for b in branches)
+    if all(b.outcome == "contradiction" for b in branches):
+        return Certificate(s, slope, branches, depth_used, depth)
+    if any(b.outcome == "budget" for b in branches):
+        reason = "depth budget exhausted"
+    else:
+        open_notes = "; ".join(b.note for b in branches if b.outcome == "open")
+        reason = open_notes or "some branch stayed open"
+    return Inconclusive(s, slope, reason, branches, depth)

@@ -11,24 +11,29 @@ from test_orderability import saturate
 from test_presentations import dense_null_homologous, random_move, random_presentation
 
 from pretzel_pi1.derivation import (
-    final_relator,
-    knot_group_presentation,
-    longitude_word,
     run_pipeline,
     simplify_longitude,
     verify_L_induction,
     verify_R_induction,
 )
-from pretzel_pi1.orderability import (
+from pretzel_pi1.knot import (
+    Slope,
+    clasp_word,
+    final_relator,
+    h1_order,
+    knot_group_presentation,
+    longitude_word,
+)
+from pretzel_pi1.orderability import Sign, replay_certificate
+from pretzel_pi1.presentations import DerivationTrace, SideConditionViolated, replay_trace
+from pretzel_pi1.surgery import (
     Branch,
     Certificate,
     Inconclusive,
-    Sign,
     nlo_search,
-    replay_certificate,
+    verify_fact,
+    verify_lemma_k,
 )
-from pretzel_pi1.presentations import DerivationTrace, SideConditionViolated, replay_trace
-from pretzel_pi1.surgery import Slope, clasp_word, h1_order, verify_fact, verify_lemma_k
 from pretzel_pi1.words import CyclicWord, Word, W, palindrome_rotation
 
 S_RANGE = range(3, 13)

@@ -9,8 +9,8 @@ import pytest
 
 from pretzel_pi1 import words
 from pretzel_pi1.derivation import verify_L_induction, verify_R_induction
-from pretzel_pi1.orderability import nlo_search
-from pretzel_pi1.surgery import Slope, surgered_presentation
+from pretzel_pi1.knot import Slope
+from pretzel_pi1.surgery import nlo_search, surgered_presentation
 
 
 @pytest.fixture

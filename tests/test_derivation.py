@@ -14,17 +14,16 @@ from pretzel_pi1.derivation import (
     closed_form_R,
     descending_product,
     expected_l12,
-    final_relator,
-    knot_group_presentation,
-    longitude_word,
     run_pipeline,
     simplify_longitude,
     verify_L_induction,
     verify_R_induction,
     _fragments,
 )
+from pretzel_pi1.knot import final_relator, knot_group_presentation, longitude_word
 from pretzel_pi1.presentations import (
     AddGenerator,
+    Presentation,
     Replay,
     RewriteLongitude,
     apply_move,
@@ -400,6 +399,18 @@ def test_the_end_longitude_is_the_closed_form_not_the_stepper(monkeypatch):
     report = run_pipeline(3).report
     assert [check.name for check in report.checks if not check.ok] == ["end longitude"]
     assert report.detail == "end longitude does not match"
+
+
+def test_the_end_presentation_is_the_closed_form_not_the_stepper(monkeypatch):
+    """With a changed closed-form relator, the stepped presentation no longer
+    matches the end of the trace, and only the end presentation check fails."""
+    changed = Presentation(("c", "l"), (("r_inf", final_relator(3) * W("c")),))
+    monkeypatch.setattr(derivation, "knot_group_presentation", lambda s: changed)
+    result = run_pipeline(3)
+    assert result.trace.end == changed
+    assert [check.name for check in result.report.checks if not check.ok] == [
+        "end presentation"]
+    assert result.report.detail == "end presentation does not match"
 
 
 def _corrupted(move):

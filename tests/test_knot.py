@@ -2,7 +2,7 @@ import pytest
 
 from test_presentations import dense_null_homologous
 
-from pretzel_pi1.knot import (
+from pretzel_pi1.derivation import (
     initial_longitude,
     strand_name,
     tunnel_collapse,

@@ -7,26 +7,27 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretzel_pi1.derivation import final_relator
+from pretzel_pi1.knot import Slope, final_relator
 from pretzel_pi1.orderability import (
-    Branch,
+    RULES,
     BranchContext,
+    EngineError,
+    Sign,
+    _combine,
+    replay_certificate,
+)
+from pretzel_pi1.surgery import (
+    Branch,
     BudgetExhausted,
     Certificate,
     Contradiction,
-    EngineError,
     Inconclusive,
-    RULES,
-    Sign,
-    _combine,
     _identity_branch,
     _strict_branch,
     _transfer_args,
     nlo_search,
-    replay_certificate,
     replay_lemma_l_positive,
 )
-from pretzel_pi1.surgery import Slope
 from pretzel_pi1.words import CyclicWord, Word, W, rotation_witness
 
 names = st.sampled_from(["c", "l"])
@@ -403,6 +404,40 @@ def test_replay_rejects_every_single_field_mutant():
                     assert any(f"branch {branch['name']}: line {i}:" in problem
                                for problem in _problems(report)), str(report)
     assert mutants > 400
+
+
+def _line(branch, i):
+    return ("branches", branch, "journal", i)
+
+
+# values that equal the right one under Python's == but are of another JSON type
+@pytest.mark.parametrize("path,value,located", [
+    (("params", "q"), True, "params: q: expected an integer, got True"),
+    (("params", "s"), 3.0, "params: s: expected an integer, got 3.0"),
+    (_line(0, 6) + ("args", "n"), "3", "branch k_positive: line 6: expected an integer, got '3'"),
+    (_line(0, 6) + ("args", "n"), 3.9, "branch k_positive: line 6: expected an integer, got 3.9"),
+    (_line(0, 4) + ("args", "inverted"), 0,
+     "branch k_positive: line 4: expected a boolean, got 0"),
+    (_line(0, 4) + ("args", "rotation"), 0.0,
+     "branch k_positive: line 4: expected an integer, got 0.0"),
+    (_line(0, 4) + ("args", "rotation"), False,
+     "branch k_positive: line 4: expected an integer, got False"),
+    (_line(0, 1) + ("args", "q"), True,
+     "branch k_positive: line 1: peripheral-meridian needs k^q and the slope's bezout pair"),
+    (_line(0, 1) + ("args", "bezout"), [True, False],
+     "branch k_positive: line 1: peripheral-meridian needs k^q and the slope's bezout pair"),
+    (_line(0, 14) + ("args", "clasp_power"), 0.0,
+     "branch k_positive: line 14: exponent bookkeeping is wrong"),
+    (_line(1, 2) + ("args", "h1_order"), 19.0,
+     "branch k_identity: line 2: needs a trivially acting meridian and H1 of order > 1"),
+    (_line(0, 15) + ("conclusion",), {"contradiction": 1},
+     "branch k_positive: line 15: missing field 'word'"),
+])
+def test_replay_checks_json_types_exactly(path, value, located):
+    """A bool is no integer, nor 0.0 nor "3": each such field is rejected where it is."""
+    cert = copy.deepcopy(GOLDEN_CERT)
+    _set(cert, path, value)
+    assert _problems(replay_certificate(cert)) == [located]
 
 
 def _power_of_line_1(cert):

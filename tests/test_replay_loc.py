@@ -1,5 +1,10 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 
@@ -7,10 +12,48 @@ _spec = importlib.util.spec_from_file_location("replay_loc", ROOT / "scripts" / 
 replay_loc = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(replay_loc)
 
+CHECKING = ("words", "smith", "presentations", "knot", "orderability")
+PRODUCING = ("derivation", "surgery", "cli")
+
+
+def test_the_modules_split_into_checking_and_producing():
+    modules = {path.stem for path in replay_loc.SOURCE.glob("*.py")}
+    assert modules == {"__init__", "__main__", *CHECKING, *PRODUCING}
+
+
+@pytest.mark.parametrize("module", CHECKING + ("__init__",))
+def test_a_checking_module_imports_no_producing_module(module):
+    """Read from the import statements: a checker never loads what it checks."""
+    imported = replay_loc.package_imports(replay_loc.SOURCE / f"{module}.py")
+    assert not imported & set(PRODUCING), imported
+
+
+def test_the_checkers_load_alone():
+    """Importing both checkers in a fresh interpreter loads no producing module."""
+    code = ("import sys, pretzel_pi1.orderability, pretzel_pi1.presentations; "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "pretzel_pi1.orderability" in loaded
+    assert not {f"pretzel_pi1.{module}" for module in PRODUCING} & set(loaded), loaded
+
+
+def test_package_imports_reads_every_import_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b\nfrom .c import x\nimport pretzel_pi1.d\n"
+        "def f():\n    from pretzel_pi1.e import y\n    from pretzel_pi1 import g\n"
+        "from . import __version__\nimport json\nfrom .. import h\n")
+    for name in "bcdegh":
+        (tmp_path / f"{name}.py").write_text("")
+    assert replay_loc.package_imports(tmp_path / "a.py") == set("bcdeg")
+
 
 def test_replay_paths_do_not_grow():
-    """The trusted checkers stay small (ROADMAP items 5 and 6).  A change that
-    must grow one raises its bound here and says why in CHANGES.md."""
-    trace, cert = replay_loc.count()
-    assert sum(trace.values()) <= 365, trace
-    assert sum(cert.values()) <= 202, cert
+    """The trusted checkers stay small (ROADMAP, north star).  Each bound is the
+    whole import closure of the checker's module.  A change that must grow
+    one raises its bound here and says why in CHANGES.md."""
+    closures = replay_loc.count()
+    trace, cert = closures["trace replay"], closures["certificate replay"]
+    assert sum(trace.values()) <= 1340, trace
+    assert sum(cert.values()) <= 1808, cert

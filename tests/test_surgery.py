@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pretzel_pi1.surgery import (
+from pretzel_pi1.knot import (
     PeripheralVector,
     Slope,
     SlopeError,
@@ -11,12 +11,10 @@ from pretzel_pi1.surgery import (
     clasp_word,
     fact_exponent,
     h1_order,
+    longitude_word,
     parse_slope,
-    surgered_presentation,
-    verify_fact,
-    verify_lemma_k,
 )
-from pretzel_pi1.derivation import longitude_word
+from pretzel_pi1.surgery import surgered_presentation, verify_fact, verify_lemma_k
 from pretzel_pi1.smith import group_order
 from pretzel_pi1.words import Word, W
 
