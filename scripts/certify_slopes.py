@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Sweep surgery slopes and report which filled groups get certificates.
 
-Every emitted certificate is immediately re-validated by the replayer;
-Inconclusive results are printed as such (the engine never guesses).
+Each slope is one `pretzel-pi1 nlo` run through `cli.run`, so every
+emitted certificate is re-validated by the replayer exactly as the
+command does it, and with --out the certificate is the file that
+`nlo --cert` writes.  Inconclusive results are printed as such (the
+engine never guesses).
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from pretzel_pi1 import cli
 from pretzel_pi1.knot import parse_slope
-from pretzel_pi1.orderability import replay_certificate
-from pretzel_pi1.surgery import DEFAULT_DEPTH, Certificate, nlo_search
+from pretzel_pi1.surgery import DEFAULT_DEPTH
 
 
 def main() -> int:
@@ -32,18 +34,16 @@ def main() -> int:
     bad = 0
     for text in args.slopes:
         slope = parse_slope(text)
-        result = nlo_search(args.s, slope, depth=args.depth)
-        if isinstance(result, Certificate):
-            document = result.to_json()
-            replay = replay_certificate(document)
-            verdict = "certificate" + ("" if replay.ok else " [REPLAY REJECTED]")
-            bad += 0 if replay.ok else 1
-            if args.out:
-                path = args.out / f"nlo_s{args.s}_{slope.p}_{slope.q}.json"
-                path.write_text(json.dumps(document, indent=2))
-                verdict += f" -> {path}"
+        argv = ["nlo", "--s", str(args.s), f"--slope={slope}", "--depth", str(args.depth)]
+        path = args.out / f"nlo_s{args.s}_{slope.p}_{slope.q}.json" if args.out else None
+        code, document, *_ = cli.run(argv + (["--cert", str(path)] if path else []))
+        if code == cli.EXIT_INCONCLUSIVE:
+            verdict = f"inconclusive ({document()['reason']})"
         else:
-            verdict = f"inconclusive ({result.reason})"
+            verdict = "certificate" + ("" if code == cli.EXIT_PASS else " [REPLAY REJECTED]")
+            bad += code != cli.EXIT_PASS
+            if path:
+                verdict += f" -> {path}"
         odd = "odd" if slope.p % 2 else "even"
         print(f"s={args.s} slope={str(slope):>6}  p {odd:4}  {verdict}")
     return 1 if bad else 0

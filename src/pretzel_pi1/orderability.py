@@ -66,6 +66,8 @@ Fact = tuple[Word, Sign]
 
 C = Word((("c", 1),))
 
+ENGINE_VERSION = "1.0"  # the rule set a certificate was written for
+
 
 def _exactly(value, expected) -> bool:
     """value == expected with every JSON type exact: true is no 1, and 2.0 no 2."""
@@ -285,11 +287,14 @@ def replay_certificate(cert: dict) -> Report:
         s, p, q = (_decoded(key, _int, params[key]) for key in ("s", "p", "q"))
         check_s(s)
         slope = Slope(p, q)
+        if _decoded("depth", _int, params["depth"]) < 1:
+            raise ValueError("depth: the budget must be at least 1")
         relator = final_relator(s)
-        cited = {"relator": relator, "longitude": longitude_word(s), "clasp": clasp_word(s)}
-        for key, word in cited.items():
-            report.add(f"cited {key}", params[key] == word.tokens(),
-                       "does not match the knot group")
+        cited = {"relator": relator.tokens(), "longitude": longitude_word(s).tokens(),
+                 "clasp": clasp_word(s).tokens(), "slope_bound": 4 * s + 7, "p_odd": p % 2 != 0}
+        for key, value in cited.items():
+            report.add(f"cited {key}", _exactly(params[key], value),
+                       "does not match the knot group and slope")
     except KeyError as exc:
         report.add("certificate", False, f"missing field {exc}")
         return report
@@ -299,6 +304,8 @@ def replay_certificate(cert: dict) -> Report:
     report.add("clasp identity", clasp_identity_holds(s), "fails by free reduction")
     report.add("verdict", cert.get("verdict") == "not_left_orderable",
                f"unexpected verdict {cert.get('verdict')!r}")
+    report.add("engine_version", _exactly(cert.get("engine_version"), ENGINE_VERSION),
+               f"not {ENGINE_VERSION!r}")
     if not report.add("branches", isinstance(branches, list), "not a list"):
         return report
     cases = [b.get("assumptions") for b in branches if isinstance(b, dict)]
@@ -306,14 +313,18 @@ def replay_certificate(cert: dict) -> Report:
                and [{"word": "k", "sign": "identity"}] in cases,
                "certificate must cover the k-positive and k-identity cases "
                "(the k-negative case is the recorded orientation mirror)")
+    lines = 0
     for n, branch in enumerate(branches):
         if not isinstance(branch, dict) or not isinstance(branch.get("journal"), list):
             report.add(f"branch #{n}", False, "not an object with a journal list")
             continue
+        lines += len(branch["journal"])
         name = branch.get("name", f"#{n}")
         ctx = BranchContext((relator,), s, slope, branch.get("assumptions"))
         problem = _replay_journal(ctx, branch["journal"])
         if problem is None and branch.get("outcome") != "contradiction":
             problem = "outcome is not a contradiction"
         report.add(f"branch {name}", problem is None, problem)
+    report.add("depth_used", _exactly(cert.get("depth_used"), lines),
+               f"is not the {lines} journal lines of the branches")
     return report

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .knot import (PeripheralVector, Slope, bezout_k, check_s, clasp_identity_holds,
                    clasp_word, fact_exponent, final_relator, longitude_word)
-from .orderability import (CLOSING_RULES, RULES, BranchContext, EngineError, Fact, Sign,
-                           clash)
+from .orderability import (CLOSING_RULES, ENGINE_VERSION, RULES, BranchContext, EngineError,
+                           Fact, Sign, clash)
 from .presentations import Presentation, Report
 from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness
 
@@ -74,7 +74,6 @@ def surgered_presentation(s: int, slope: Slope) -> Presentation:
 
 # -- the nlo search -----------------------------------------------------------
 
-ENGINE_VERSION = "1.0"
 DEFAULT_DEPTH = 100_000
 
 K = Word((("k", 1),))
@@ -230,17 +229,6 @@ def _lemma_chain(branch: Branch, s: int, slope: Slope, root_sign: Sign) -> dict:
     l_idx = branch.apply("conjugate", (d_idx,), {"conjugator": ISOLATE_L.tokens()},
                          note="un-conjugate to isolate l")
     return {"root": root, "c": c_idx, "l": l_idx}
-
-
-def replay_lemma_l_positive(s: int, slope: Slope, root_sign: Sign = Sign.POSITIVE,
-                            budget: int = DEFAULT_DEPTH) -> Branch:
-    """Scripted replay: a strictly signed root forces l to the same sign."""
-    if root_sign is Sign.IDENTITY:
-        raise EngineError("the identity root is handled by the degenerate branch")
-    branch = Branch(f"k_{root_sign.value}", BranchContext((final_relator(s),), s, slope),
-                    budget)
-    _lemma_chain(branch, s, slope, root_sign)
-    return branch
 
 
 @dataclass

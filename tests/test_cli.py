@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -65,9 +66,48 @@ def test_gen_tunnel_stage():
     assert "rel r6: f1 f0 f^-1 a^-1" in proc.stdout
 
 
-def test_stdout_is_exactly_one_json_document():
-    proc = run_cli("derive", "--s", "4", "--format", "json", check=True)
-    json.loads(proc.stdout)  # raises if more than one document
+# one small argv for each leaf command of the parser
+LEAF_ARGV = {
+    "gen": ["gen", "--s", "3"],
+    "derive": ["derive", "--s", "4"],
+    "surgery": ["surgery", "--s", "3", "--slope", "19/1"],
+    "verify fact": ["verify", "fact", "--s", "5"],
+    "verify lemma-k": ["verify", "lemma-k", "--slope", "39/2"],
+    "verify induction": ["verify", "induction", "--s", "3"],
+    "verify trace": ["verify", "trace", str(DATA / "trace_v1_s3.json")],
+    "h1": ["h1", "--s", "3", "--slope", "39/2"],
+    "abelianize": ["abelianize", str(DATA / "gen_s3.txt")],
+    "nlo": ["nlo", "--s", "3", "--slope", "19/1"],
+    "parse": ["parse", "clcLCL^-3CLclcl^2"],
+}
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for every parser below parser with no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_command_has_one_output_path():
+    """Each leaf runs through a handler of its own and takes --format, so
+    main writes its output; no leaf prints for itself."""
+    leaves = dict(_leaves(cli.build_parser()))
+    assert leaves.keys() == LEAF_ARGV.keys()
+    for name, leaf in leaves.items():
+        assert callable(leaf.get_default("run")), name
+        assert "--format" in leaf._option_string_actions, name
+
+
+@pytest.mark.parametrize("command", LEAF_ARGV)
+def test_stdout_is_exactly_one_json_document(capsys, command):
+    assert cli.main(LEAF_ARGV[command] + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"  # one document, nothing else
 
 
 def test_verify_subcommands_exit_zero():
@@ -259,6 +299,19 @@ def test_an_unreadable_file_is_a_usage_error(tmp_path, command, target, fmt):
     """A missing file or a directory is a usage error, exit 2, not the exit 1
     of a proof that fails: one file error line and no traceback."""
     proc = run_cli(*command.split(), str(tmp_path / target), "--format", fmt)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("file error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [("derive", "--s", "3", "--emit-trace"),
+                                  ("surgery", "--s", "3", "--slope", "19/1", "--emit"),
+                                  ("nlo", "--s", "3", "--slope", "19/1", "--cert")])
+def test_an_unwritable_output_file_is_a_usage_error(tmp_path, argv, fmt):
+    """An output file in a missing directory is a usage error: exit 2, one
+    file error line, and nothing on stdout, though the command itself ran."""
+    proc = run_cli(*argv, str(tmp_path / "missing" / "out.json"), "--format", fmt)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("file error: ")

@@ -26,7 +26,6 @@ from pretzel_pi1.surgery import (
     _strict_branch,
     _transfer_args,
     nlo_search,
-    replay_lemma_l_positive,
 )
 from pretzel_pi1.words import CyclicWord, Word, W, rotation_witness
 
@@ -187,8 +186,12 @@ def test_knot_group_positivity_never_contradicts():
 
 @pytest.mark.parametrize("s,p,q", [(3, 19, 1), (4, 23, 1), (3, 39, 2)])
 def test_replay_lemma_l_positive(s, p, q):
-    branch = replay_lemma_l_positive(s, Slope(p, q))
-    journal = branch.journal
+    """The k_positive branch of the search forces l positive within its first 12 lines."""
+    branch = nlo_search(s, Slope(p, q)).branches[0]
+    assert branch.name == "k_positive"
+    n = next(i for i, line in enumerate(branch.journal)
+             if line.note == "un-conjugate to isolate l")
+    journal = branch.journal[:n + 1]
     assert len(journal) <= 12
     last = journal[-1]
     assert last.word == W("l") and last.sign is Sign.POSITIVE
@@ -435,6 +438,23 @@ def _line(branch, i):
 ])
 def test_replay_checks_json_types_exactly(path, value, located):
     """A bool is no integer, nor 0.0 nor "3": each such field is rejected where it is."""
+    cert = copy.deepcopy(GOLDEN_CERT)
+    _set(cert, path, value)
+    assert _problems(replay_certificate(cert)) == [located]
+
+
+@pytest.mark.parametrize("path,value,located", [
+    (("params", "slope_bound"), 5, "cited slope_bound: does not match the knot group and slope"),
+    (("params", "p_odd"), False, "cited p_odd: does not match the knot group and slope"),
+    (("params", "depth"), -1, "params: depth: the budget must be at least 1"),
+    (("params", "depth"), True, "params: depth: expected an integer, got True"),
+    (("depth_used",), -4, "depth_used: is not the 19 journal lines of the branches"),
+    (("engine_version",), "9", "engine_version: not '1.0'"),
+])
+def test_replay_checks_every_parameter_it_can_derive(path, value, located):
+    """The slope bound and parity follow from s and p, the budget is a positive
+    integer, and depth_used counts the journal lines of every branch."""
+    assert replay_certificate(GOLDEN_CERT).ok
     cert = copy.deepcopy(GOLDEN_CERT)
     _set(cert, path, value)
     assert _problems(replay_certificate(cert)) == [located]

@@ -56,4 +56,4 @@ def test_replay_paths_do_not_grow():
     closures = replay_loc.count()
     trace, cert = closures["trace replay"], closures["certificate replay"]
     assert sum(trace.values()) <= 1340, trace
-    assert sum(cert.values()) <= 1808, cert
+    assert sum(cert.values()) <= 1819, cert
