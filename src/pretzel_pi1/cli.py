@@ -24,8 +24,8 @@ from .knot import h1_order, parse_slope
 from .orderability import replay_certificate
 from .presentations import (Presentation, presentation_to_json, replay_trace, trace_from_json,
                             trace_to_json)
-from .surgery import (DEFAULT_DEPTH, Certificate, nlo_search, surgered_presentation,
-                      verify_fact, verify_lemma_k)
+from .surgery import (DEFAULT_DEPTH, nlo_search, surgered_presentation, verify_fact,
+                      verify_lemma_k)
 from .words import Word, WordError, parse_word
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
@@ -100,8 +100,9 @@ def _cmd_fact(args):
 
 
 def _cmd_lemma_k(args):
-    report = verify_lemma_k(parse_slope(args.slope))
-    return _reported(report, lambda: _doc("verify lemma-k", slope=args.slope, checks=[
+    slope = parse_slope(args.slope)
+    report = verify_lemma_k(slope)
+    return _reported(report, lambda: _doc("verify lemma-k", slope=str(slope), checks=[
         {"name": c.name, "ok": c.ok} for c in report.checks], passed=report.ok))
 
 
@@ -150,7 +151,7 @@ def _cmd_nlo(args):
     result = nlo_search(args.s, slope, depth=args.depth)
     document = result.to_json()  # no "version": a certificate carries its engine_version
     code = EXIT_INCONCLUSIVE
-    if isinstance(result, Certificate):
+    if result.reason is None:
         replay = replay_certificate(document)
         document["replay"] = "OK" if replay.ok else "REJECTED"
         code = EXIT_PASS if replay.ok else EXIT_FAIL

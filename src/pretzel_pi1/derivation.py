@@ -52,7 +52,7 @@ from .presentations import (
     SubstituteEverywhere,
     solve_for,
 )
-from .words import Word, rotation_witness, splice
+from .words import Word, parse_word, rotation_witness, splice
 
 
 class DerivationError(RuntimeError):
@@ -65,14 +65,6 @@ class MoveRejected(DerivationError):
     def __init__(self, check: Check):
         self.check = check
         super().__init__(f"{check.name} rejected: {check.reason}")
-
-
-def _gen(name: str, sign: int = 1) -> Word:
-    return Word(((name, sign),))
-
-
-def _power(name: str, exp: int) -> Word:
-    return Word.from_syllables([(name, exp)])
 
 
 def descending_product(a: int, b: int, factor: Callable[[int], Word]) -> Word:
@@ -99,7 +91,7 @@ def strand_name(m: int, s: int) -> str:
 
 def _conjugation_relator(over: str, source: str, target: str) -> Word:
     # crossing relation  over*source = source*target, stored reduced
-    return Word(((over, 1), (source, 1), (target, -1), (source, -1)))
+    return Word.from_syllables([(over, 1), (source, 1), (target, -1), (source, -1)])
 
 
 def wirtinger_presentation(s: int) -> Presentation:
@@ -114,15 +106,12 @@ def wirtinger_presentation(s: int) -> Presentation:
         ("r3", _conjugation_relator("d", "f", "e")),
         ("r4", _conjugation_relator("f", "e", "c")),
         ("r5", _conjugation_relator("e", "c", "g")),
-        ("r6", Word((("f1", 1), ("a", 1), ("f", -1), ("a", -1)))),
+        ("r6", _conjugation_relator("f1", "a", "f")),
     ]
-    for i in range(1, 2 * s):
-        word = Word(((strand_name(i + 1, s), 1), (strand_name(i, s), 1),
-                     (strand_name(i - 1, s), -1), (strand_name(i, s), -1)))
-        relators.append((f"r{i + 6}", word))
-    relators.append((f"r{2 * s + 6}",
-                     Word((("b", 1), ("g", 1), (strand_name(2 * s - 1, s), -1),
-                           ("g", -1)))))
+    # r7..r(2s+6) along the twist region; the last one, b g f_2s-1^-1 g^-1, has i = 2s
+    relators += [(f"r{i + 6}", _conjugation_relator(strand_name(i + 1, s), strand_name(i, s),
+                                                    strand_name(i - 1, s)))
+                 for i in range(1, 2 * s + 1)]
     return Presentation(tuple(gens), tuple(relators), provenance=f"wirtinger s={s}")
 
 
@@ -136,10 +125,10 @@ def tunnel_moves(s: int) -> tuple:
     check_s(s)
     macro = "tunnel"
     return (
-        AddGenerator("f0", Word((("a", 1),)), "r_inf", macro=macro),
-        RewriteRelator("r6", (Insertion("r_inf", False, Word((("f1", 1),)), 0),),
+        AddGenerator("f0", Word.generator("a"), "r_inf", macro=macro),
+        RewriteRelator("r6", (Insertion("r_inf", False, Word.generator("f1"), 0),),
                        macro=macro),
-        RewriteRelator("r7", (Insertion("r_inf", True, Word((("f0", -1),)), 2),),
+        RewriteRelator("r7", (Insertion("r_inf", True, Word.generator("f0", -1), 2),),
                        macro=macro),
     )
 
@@ -174,7 +163,7 @@ def initial_longitude(s: int) -> LongitudeReading:
     arcs += [("c", 1), ("g", 1)]
     arcs += [(f"f{i}", 1) for i in range(2 * s - 2, 1, -2)]
     arcs += [("a", 1), ("e", 1)]
-    return LongitudeReading(Word(arcs), -(2 * s + 6))
+    return LongitudeReading(Word.from_syllables(arcs), -(2 * s + 6))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -203,16 +192,16 @@ class LongitudeFragments:
 
 def _fragments(i: int, s: int) -> LongitudeFragments:
     j = (i + 1) // 2
-    odd_run = descending_product(s, j + 1, lambda n: _gen(strand_name(2 * n - 1, s)))
+    odd_run = descending_product(s, j + 1, lambda n: Word.generator(strand_name(2 * n - 1, s)))
     if i % 2:  # i == 2j-1
         x, y = strand_name(2 * j - 1, s), strand_name(2 * j, s)
         left = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
-        even_run = descending_product(s - 1, j, lambda n: _gen(strand_name(2 * n, s)))
+        even_run = descending_product(s - 1, j, lambda n: Word.generator(strand_name(2 * n, s)))
         right = [(x, -(j - 1))] + [(y, 1), (x, 1)] * (j - 1)
     else:  # i == 2j
         x, y = strand_name(2 * j, s), strand_name(2 * j + 1, s)
         left = [(x, -j)] + [(y, 1), (x, 1)] * j
-        even_run = descending_product(s - 1, j + 1, lambda n: _gen(strand_name(2 * n, s)))
+        even_run = descending_product(s - 1, j + 1, lambda n: Word.generator(strand_name(2 * n, s)))
         right = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
     return LongitudeFragments(splice(odd_run, Word.from_syllables(left)),
                               splice(even_run, Word.from_syllables(right)), i)
@@ -226,9 +215,8 @@ def closed_form_L_fragments(i: int, s: int) -> LongitudeFragments:
 
 
 def _assemble_longitude(fragments: LongitudeFragments, s: int) -> Word:
-    return (Word((("a", 1), ("f", 1), ("c", 1))) * fragments.left
-            * Word((("c", 1), ("g", 1))) * fragments.right
-            * Word((("a", 1), ("e", 1))) * _power("c", -(2 * s + 6)))
+    return splice(parse_word("a f c"), fragments.left, parse_word("c g"), fragments.right,
+                  Word.from_syllables([("a", 1), ("e", 1), ("c", -(2 * s + 6))]))
 
 
 def _terminal_longitude(s: int) -> Word:
@@ -241,48 +229,40 @@ def _terminal_longitude(s: int) -> Word:
 
 # -- induction oracles -------------------------------------------------------
 
-def _step(report: Report, i: int, ok: bool) -> None:
-    report.add(f"step {i}", ok, "the substituted word differs from the closed form", i)
-
-
 def _twist_replacement(i: int, s: int) -> Word:
     """f_i in terms of its successors, read off the crossing relation r_{i+7}."""
     x = strand_name(i + 1, s)
-    y = strand_name(i + 2, s)
-    return _gen(x, -1) * _gen(y) * _gen(x)
+    return Word.from_syllables([(x, -1), (strand_name(i + 2, s), 1), (x, 1)])
+
+
+def _induction(title: str, s: int, word: Word, expected: Callable[[int], Word]) -> Report:
+    """Steps 1..2s: word, then word with f_1..f_i substituted away at step i+1,
+    each compared with expected(step)."""
+    report = Report(title)
+    for i in range(2 * s):
+        if i:
+            word = word.substitute(strand_name(i, s), _twist_replacement(i, s))
+        report.add(f"step {i + 1}", word == expected(i + 1),
+                   "the substituted word differs from the closed form", i + 1)
+    return report
 
 
 def verify_R_induction(s: int, closed_form: Callable[[int, int], Word] = closed_form_R,
                        ) -> Report:
     """Iterative substitution oracle against the closed relator forms."""
     check_s(s)
-    report = Report(f"R induction s={s}")
     # base: eliminate f0 from the tunnel relator pair
     p2 = tunnel_collapse(s)
     base = p2.relator("r_inf").substitute("f0", solve_for(p2.relator("r7"), "f0"))
-    _step(report, 1, base == closed_form(1, s))
-    current = base
-    for i in range(1, 2 * s):
-        current = current.substitute(strand_name(i, s), _twist_replacement(i, s))
-        _step(report, i + 1, current == closed_form(i + 1, s))
-    return report
+    return _induction(f"R induction s={s}", s, base, lambda i: closed_form(i, s))
 
 
 def verify_L_induction(s: int, fragments: Callable[[int, int], LongitudeFragments] = _fragments,
                        ) -> Report:
     """Iterative substitution oracle against the longitude fragment forms."""
     check_s(s)
-    report = Report(f"L induction s={s}")
-    current = initial_longitude(s).word
-    _step(report, 1, current == _assemble_longitude(fragments(1, s), s))
-    for i in range(1, 2 * s):
-        current = current.substitute(strand_name(i, s), _twist_replacement(i, s))
-        if i + 1 <= 2 * s - 1:
-            expected = _assemble_longitude(fragments(i + 1, s), s)
-        else:
-            expected = _terminal_longitude(s)
-        _step(report, i + 1, current == expected)
-    return report
+    return _induction(f"L induction s={s}", s, initial_longitude(s).word, lambda i: (
+        _terminal_longitude(s) if i == 2 * s else _assemble_longitude(fragments(i, s), s)))
 
 
 # -- the pipeline longitude ---------------------------------------------------
@@ -303,7 +283,7 @@ def expected_l12(s: int) -> Word:
 def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
                            label: str, relator: Word) -> Insertion:
     """Insertion that swaps old for new at pos, justified by the relator."""
-    if word.letters[pos:pos + len(old)] != old.letters:
+    if word[pos:pos + len(old)] != old:
         raise DerivationError(f"no occurrence of {old} at position {pos} in {word}")
     diff = new * ~old
     cyclic, outer = relator.cyclic_reduce()
@@ -311,7 +291,7 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     if witness is None:
         raise DerivationError(f"replacement {old} -> {new} is not justified by {relator}")
     core = ~cyclic.word if witness["inverted"] else cyclic.word
-    prefix = Word(core.letters[:witness["rotation"]])
+    prefix = core[:witness["rotation"]]
     conj = witness["conjugator"] * ~prefix * ~outer
     return Insertion(label, witness["inverted"], conj, pos)
 
@@ -373,42 +353,38 @@ def run_pipeline(s: int) -> PipelineResult:
 
     # open the tunnel vertex: h stands for af
     macro = "opening"
-    do(AddGenerator("h", _gen("a") * _gen("f"), "r7", macro=macro))
-    do(_rewrite_relator(p, "r6", Word((("f", -1), ("a", -1))), _gen("h", -1),
-                        "r7", macro))
-    ins = _first_replacement(lon, _gen("a") * _gen("f"), _gen("h"), "r7", p, "the longitude")
+    af, h = parse_word("a f"), Word.generator("h")
+    do(AddGenerator("h", af, "r7", macro=macro))
+    do(_rewrite_relator(p, "r6", parse_word("F A"), ~h, "r7", macro))
+    ins = _first_replacement(lon, af, h, "r7", p, "the longitude")
     do(RewriteLongitude((ins,), macro=macro))
     # each bg -> h inserts the same conjugate of r6; only its position moves,
     # and it only moves right: the letters before a rewrite keep their places
-    bg, ins, pos = _gen("b") * _gen("g"), None, 0
+    bg, ins, pos = parse_word("b g"), None, 0
     for _ in range(2 * s - 1):
         pos = _first_position(lon, bg, "the longitude", pos)
         ins = (replace(ins, position=pos) if ins else
-               _replacement_insertion(lon, pos, bg, _gen("h"), "r6", p.relator("r6")))
+               _replacement_insertion(lon, pos, bg, h, "r6", p.relator("r6")))
         do(RewriteLongitude((ins,), macro=macro))
-    do(SubstituteEverywhere("b", _gen("h") * _gen("g", -1), "r6",
+    do(SubstituteEverywhere("b", parse_word("h G"), "r6",
                             only_in=("r_inf",), macro=macro))
 
     # slide the clasp over: d goes away and the crossing relation turns into ch=he
     macro = "upper_sliding"
     do(RemoveGenerator("d", "r1", macro=macro))
-    do(_rewrite_relator(p, "r3", _gen("a") * _gen("f"), _gen("h"), "r7", macro))
+    do(_rewrite_relator(p, "r3", af, h, "r7", macro))
     do(RotateRelator("r3", 1, macro=macro))
-    do(_rewrite_relator(p, "r3", Word((("f", -1), ("a", -1))), _gen("h", -1),
-                        "r7", macro))
+    do(_rewrite_relator(p, "r3", parse_word("F A"), ~h, "r7", macro))
 
     # slide under: a goes away, k and l appear
     macro = "under_sliding"
     do(RemoveGenerator("a", "r7", macro=macro))
     for gen, source, label in (("k", "f", "r8"), ("l", "h", "r9")):
-        do(AddGenerator(gen, _gen("c", -1) * _gen(source) * _gen("c"), label,
-                        macro=macro))
+        do(AddGenerator(gen, parse_word(f"C {source} c"), label, macro=macro))
         do(InvertRelator(label, macro=macro))
         do(RotateRelator(label, 1, macro=macro))
-    do(_rewrite_relator(p, "r2", Word((("f", -1), ("c", 1))),
-                        _gen("c") * _gen("k", -1), "r8", macro))
-    do(_rewrite_relator(p, "r2", _gen("h") * _gen("c"), _gen("c") * _gen("l"),
-                        "r9", macro))
+    do(_rewrite_relator(p, "r2", parse_word("F c"), parse_word("c K"), "r8", macro))
+    do(_rewrite_relator(p, "r2", parse_word("h c"), parse_word("c l"), "r9", macro))
     do(RotateRelator("r2", 1, macro=macro))
     do(RelabelRelator("r2", "r10", macro=macro))
 
@@ -420,7 +396,7 @@ def run_pipeline(s: int) -> PipelineResult:
     # turning move: f goes away, then gc=kg replaces the clasp relation
     macro = "turning"
     do(RemoveGenerator("f", "r4", macro=macro))
-    do(SubstituteEverywhere("e", _gen("c") * _gen("g") * _gen("c", -1), "r5",
+    do(SubstituteEverywhere("e", parse_word("c g C"), "r5",
                             only_in=("r8",), macro=macro))
     do(RotateRelator("r8", 1, macro=macro))
     do(RelabelRelator("r8", "r11", macro=macro))
@@ -468,7 +444,7 @@ def simplify_longitude(s: int, l12: Word) -> tuple[RewriteLongitude, ...]:
         raise DerivationError("simplification chain did not reach the closed form")
     relator, first = final_relator(s), chain_word(1)
     # the tail: the pipeline longitude becomes chain word 1 after their common prefix
-    k = next((i for i, (a, b) in enumerate(zip(l12.letters, first.letters)) if a != b),
+    k = next((i for i, (a, b) in enumerate(zip(l12, first)) if a != b),
              min(len(l12), len(first)))
     steps = [_replacement_insertion(l12, k, l12[k:], first[k:], "r_inf", relator)]
     # chain word n to n+1: at offset s-2+n, l c l^s bracket becomes c^-1 l c l^s

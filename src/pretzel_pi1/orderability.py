@@ -64,9 +64,16 @@ def _combine(a: Sign, b: Sign) -> Optional[Sign]:
 
 Fact = tuple[Word, Sign]
 
-C = Word((("c", 1),))
+C = parse_word("c")
 
 ENGINE_VERSION = "1.0"  # the rule set a certificate was written for
+
+
+def cited_params(s: int, slope: Slope) -> dict:
+    """The params derived from s and the slope, in the order a certificate has them."""
+    return {"p_odd": slope.p % 2 != 0, "slope_bound": 4 * s + 7,
+            "relator": final_relator(s).tokens(), "longitude": longitude_word(s).tokens(),
+            "clasp": clasp_word(s).tokens()}
 
 
 def _exactly(value, expected) -> bool:
@@ -134,9 +141,8 @@ def clash(ctx: BranchContext, a: Fact, b: Fact) -> Optional[str]:
 # the claim; the search, which only builds true lines, gives none.
 
 def _is_root_power(word: Word, n: int) -> bool:
-    """word == k^n, decided on the letters without building the power."""
-    letter = ("k", 1 if n > 0 else -1)
-    return len(word) == abs(n) and word.letters.count(letter) == abs(n)
+    """word == k^n, decided on its runs without building the power."""
+    return len(word) == abs(n) and word.syllables() == [("k", n)]
 
 
 def _assume(ctx, prem, args, claim):
@@ -290,9 +296,7 @@ def replay_certificate(cert: dict) -> Report:
         if _decoded("depth", _int, params["depth"]) < 1:
             raise ValueError("depth: the budget must be at least 1")
         relator = final_relator(s)
-        cited = {"relator": relator.tokens(), "longitude": longitude_word(s).tokens(),
-                 "clasp": clasp_word(s).tokens(), "slope_bound": 4 * s + 7, "p_odd": p % 2 != 0}
-        for key, value in cited.items():
+        for key, value in cited_params(s, slope).items():
             report.add(f"cited {key}", _exactly(params[key], value),
                        "does not match the knot group and slope")
     except KeyError as exc:

@@ -225,13 +225,13 @@ class Presentation:
 
 def solve_for(word: Word, gen: str) -> Word:
     """Solve relator == 1 for its unique occurrence of gen."""
-    hits = [i for i, (name, _) in enumerate(word.letters) if name == gen]
+    hits = [(i, sign) for i, (name, sign) in enumerate(word) if name == gen]
     if len(hits) != 1:
         raise PresentationError(
             f"generator {gen!r} occurs {len(hits)} times, need exactly 1")
-    i = hits[0]
+    (i, sign), = hits
     vu = splice(word[i + 1:], word[:i])
-    return ~vu if word.letters[i][1] > 0 else vu
+    return ~vu if sign > 0 else vu
 
 
 # -- exponent rows ----------------------------------------------------------
@@ -242,7 +242,7 @@ def solve_for(word: Word, gen: str) -> Word:
 
 def exponent_row(word: Word) -> dict[str, int]:
     row: dict[str, int] = {}
-    for (name, sign), count in Counter(word.letters).items():
+    for (name, sign), count in Counter(word).items():
         row[name] = row.get(name, 0) + sign * count
     return {name: e for name, e in row.items() if e}
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .knot import (PeripheralVector, Slope, bezout_k, check_s, clasp_identity_holds,
-                   clasp_word, fact_exponent, final_relator, longitude_word)
+                   fact_exponent, final_relator, longitude_word)
 from .orderability import (CLOSING_RULES, ENGINE_VERSION, RULES, BranchContext, EngineError,
-                           Fact, Sign, clash)
+                           Fact, Sign, cited_params, clash)
 from .presentations import Presentation, Report
 from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness
 
@@ -76,7 +76,7 @@ def surgered_presentation(s: int, slope: Slope) -> Presentation:
 
 DEFAULT_DEPTH = 100_000
 
-K = Word((("k", 1),))
+K = parse_word("k")
 COMPARISON = parse_word("c^-1 l^-1 c^-1 l c l c")  # traded by one relator copy
 ISOLATE_L = parse_word("c l c")  # un-conjugates the traded comparison word to l
 
@@ -137,7 +137,6 @@ class Branch:
     ctx: BranchContext = field(default_factory=BranchContext)
     budget: int = DEFAULT_DEPTH
     note: str = ""
-    used: int = 0
     journal: list[JournalLine] = field(default_factory=list)
     signs: dict = field(default_factory=dict)
     outcome: str = "open"  # open | contradiction | budget
@@ -152,27 +151,26 @@ class Branch:
         """Run RULES[rule] on recorded premises and record its conclusion."""
         if self.outcome == "contradiction":
             raise EngineError("branch already closed")
-        if rule not in CLOSING_RULES and self.used >= self.budget:
+        if rule not in CLOSING_RULES and len(self.journal) >= self.budget:
             self.outcome = "budget"
             raise BudgetExhausted(f"depth budget {self.budget} exhausted")
         conclusion = RULES[rule](self.ctx, tuple(self.fact(i) for i in premises),
                                  args, claim)
         if conclusion is None:
             self._close(rule, premises, args, note)
-        self.used += 1
         word, sign = conclusion
         self.journal.append(JournalLine(rule, premises, args, word, sign, note))
         idx = len(self.journal) - 1
         partners = [(idx, conclusion)]
         for known in (word, ~word):
-            entry = self.signs.get(known.letters)
+            entry = self.signs.get(known)
             if entry:
                 partners.append((entry[1], (known, entry[0])))
         for other_idx, other in partners:
             reason = clash(self.ctx, conclusion, other)
             if reason:
                 self._close("contradiction", (idx, other_idx), {}, reason)
-        self.signs.setdefault(word.letters, (sign, idx))
+        self.signs.setdefault(word, (sign, idx))
         return idx
 
     def _close(self, rule: str, premises: tuple[int, ...], args: dict, note: str):
@@ -232,17 +230,24 @@ def _lemma_chain(branch: Branch, s: int, slope: Slope, root_sign: Sign) -> dict:
 
 
 @dataclass
-class Certificate:
+class SearchResult:
+    """What nlo_search found: a certificate when reason is None, else an
+    honest inconclusive with its reason."""
     s: int
     slope: Slope
     branches: list[Branch]
-    depth_used: int
     depth_budget: int
+    reason: Optional[str] = None
 
     def to_json(self) -> dict:
+        doc = {"params": {"s": self.s, "p": self.slope.p, "q": self.slope.q,
+                          "depth": self.depth_budget, **cited_params(self.s, self.slope)},
+               "branches": [b.to_json() for b in self.branches]}
+        if self.reason is not None:
+            return {**doc, "verdict": "inconclusive", "reason": self.reason,
+                    "engine_version": ENGINE_VERSION}
         return {
-            "params": _params_json(self.s, self.slope, self.depth_budget),
-            "branches": [b.to_json() for b in self.branches],
+            **doc,
             "symmetry": ("the k-negative case is the orientation mirror of the "
                          "k-positive branch; reversing the line swaps the signs"),
             "interpretation": (
@@ -251,35 +256,8 @@ class Certificate:
                 "carries no left-invariant total order"),
             "verdict": "not_left_orderable",
             "engine_version": ENGINE_VERSION,
-            "depth_used": self.depth_used,
+            "depth_used": sum(len(b.journal) for b in self.branches),
         }
-
-
-@dataclass
-class Inconclusive:
-    s: int
-    slope: Slope
-    reason: str
-    branches: list[Branch]
-    depth_budget: int
-
-    def to_json(self) -> dict:
-        return {
-            "params": _params_json(self.s, self.slope, self.depth_budget),
-            "branches": [b.to_json() for b in self.branches],
-            "verdict": "inconclusive",
-            "reason": self.reason,
-            "engine_version": ENGINE_VERSION,
-        }
-
-
-def _params_json(s: int, slope: Slope, depth: int) -> dict:
-    return {"s": s, "p": slope.p, "q": slope.q, "depth": depth,
-            "p_odd": slope.p % 2 != 0,
-            "slope_bound": 4 * s + 7,
-            "relator": final_relator(s).tokens(),
-            "longitude": longitude_word(s).tokens(),
-            "clasp": clasp_word(s).tokens()}
 
 
 def _strict_branch(s: int, slope: Slope, root_sign: Sign, budget: int) -> Branch:
@@ -332,23 +310,23 @@ def _identity_branch(s: int, slope: Slope, budget: int) -> Branch:
     return branch
 
 
-def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH):
+def nlo_search(s: int, slope: Slope, depth: int = DEFAULT_DEPTH) -> SearchResult:
     """Case tree for non-left-orderability of the filled group.
 
-    Returns a Certificate when every branch reaches a contradiction and
-    an honest Inconclusive otherwise (slope below the bound, or budget).
+    The result is a certificate (reason None) when every branch reaches a
+    contradiction, and an honest inconclusive otherwise (slope below the
+    bound, or budget).
     """
     check_s(s)
     if depth < 1:
         raise ValueError("depth budget must be at least 1")
     branches = [_strict_branch(s, slope, Sign.POSITIVE, depth),
                 _identity_branch(s, slope, depth)]
-    depth_used = sum(len(b.journal) for b in branches)
     if all(b.outcome == "contradiction" for b in branches):
-        return Certificate(s, slope, branches, depth_used, depth)
+        return SearchResult(s, slope, branches, depth)
     if any(b.outcome == "budget" for b in branches):
         reason = "depth budget exhausted"
     else:
         open_notes = "; ".join(b.note for b in branches if b.outcome == "open")
         reason = open_notes or "some branch stayed open"
-    return Inconclusive(s, slope, reason, branches, depth)
+    return SearchResult(s, slope, branches, depth, reason)

@@ -76,7 +76,8 @@ def _splice_letters(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
 
 
 class Word:
-    """A freely reduced word; the universal currency of the toolkit."""
+    """A freely reduced word; the universal currency of the toolkit.  Only this
+    module reads the letter tuple; others use iteration, len, slices and views."""
 
     __slots__ = ("letters", "_generators")  # _generators: filled by generators()
 
@@ -201,9 +202,6 @@ class Word:
         return "".join(parts)
 
     # -- operations ------------------------------------------------------
-
-    def exponent_sum(self, name: str) -> int:
-        return sum(sign for gen, sign in self.letters if gen == name)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every signed occurrence of ``name`` by ``replacement``,
@@ -391,7 +389,3 @@ def parse_word(text: str, compact: Optional[bool] = None) -> Word:
         return Word._reduced(_parse_token(text))
     return parse_compact(text)
 
-
-def W(text: str) -> Word:
-    """Shorthand parser, handy in tests and interactive use."""
-    return parse_word(text)

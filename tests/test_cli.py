@@ -135,6 +135,10 @@ def assert_exact_json(proc, expected):
      {"command": "verify induction", "s": 3,
       "R": {"steps": 6, "passed": True}, "L": {"steps": 6, "passed": True},
       "passed": True}),
+    (("lemma-k", "--slope", "39"),  # the parsed slope, as h1 and surgery print it
+     {"command": "verify lemma-k", "slope": "39/1",
+      "checks": [{"name": "k^1 = M", "ok": True}, {"name": "k^-39 = L", "ok": True}],
+      "passed": True}),
 ])
 def test_verify_json_documents(argv, expected):
     assert_exact_json(run_cli("verify", *argv, "--format", "json", check=True), expected)

@@ -27,11 +27,12 @@ from pretzel_pi1.presentations import (
     Replay,
     RewriteLongitude,
     apply_move,
+    exponent_row,
     replay_trace,
     trace_from_json,
     trace_to_json,
 )
-from pretzel_pi1.words import CyclicWord, Word, W, palindrome_rotation
+from pretzel_pi1.words import CyclicWord, Word, palindrome_rotation, parse_word as W
 
 
 def test_closed_form_R_examples():
@@ -285,8 +286,7 @@ def test_pipeline_endpoint_properties(s):
     assert len(relator) == 2 * s + 9
     core, conj = relator.cyclic_reduce()
     assert conj == Word() and core.word == relator  # cyclically reduced
-    assert relator.exponent_sum("c") == 2
-    assert relator.exponent_sum("l") == -1
+    assert exponent_row(relator) == {"c": 2, "l": -1}
     assert palindrome_rotation(CyclicWord(relator)) is not None
     assert result.longitude == expected_l12(s)
     assert p.abelian_invariants() == (0,)

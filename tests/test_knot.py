@@ -15,7 +15,7 @@ from pretzel_pi1.presentations import (
     RewriteRelator,
     replay_trace,
 )
-from pretzel_pi1.words import W
+from pretzel_pi1.words import parse_word as W
 
 
 def test_s3_generators_and_relators():

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -55,5 +56,21 @@ def test_replay_paths_do_not_grow():
     one raises its bound here and says why in CHANGES.md."""
     closures = replay_loc.count()
     trace, cert = closures["trace replay"], closures["certificate replay"]
-    assert sum(trace.values()) <= 1340, trace
-    assert sum(cert.values()) <= 1819, cert
+    assert sum(trace.values()) <= 1334, trace
+    assert sum(cert.values()) <= 1817, cert
+
+
+def test_only_words_reads_the_letter_tuple():
+    """How a word stores its letters is words.py's own: no other module reads
+    `.letters` or calls `Word(...)` with an argument (a letter sequence)."""
+    found = []
+    for path in sorted(replay_loc.SOURCE.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "letters":
+                found.append(f"{path.name}:{node.lineno}: .letters")
+            elif (isinstance(node, ast.Call) and (node.args or node.keywords)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Word"):
+                found.append(f"{path.name}:{node.lineno}: Word(...)")
+    assert found == []

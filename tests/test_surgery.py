@@ -16,7 +16,7 @@ from pretzel_pi1.knot import (
 )
 from pretzel_pi1.surgery import surgered_presentation, verify_fact, verify_lemma_k
 from pretzel_pi1.smith import group_order
-from pretzel_pi1.words import Word, W
+from pretzel_pi1.words import Word, parse_word as W
 
 
 def coprime_slopes(max_p=500, max_q=50):

@@ -5,13 +5,13 @@ from pretzel_pi1.presentations import Insertion, Presentation, solve_for
 from pretzel_pi1.words import (
     CyclicWord,
     Word,
-    W,
     WordError,
     _reduce_letters,
     _token,
     palindrome_rotation,
     parse_compact,
     parse_word,
+    parse_word as W,
     splice,
 )
 
@@ -81,16 +81,21 @@ def test_substitute_identity():
     assert w.substitute("l", W("l")) == w
 
 
+def exponent_sum(word, name):
+    """The oracle: the signed count of name's letters in word."""
+    return sum(sign for gen, sign in word if gen == name)
+
+
 def test_exponent_sums_on_relator_and_longitude():
     for s in range(3, 13):
         relator = W("c l c L C") * W("l") ** -s * W("C L c l c") * W("l") ** (s - 1)
-        assert relator.exponent_sum("c") == 2
-        assert relator.exponent_sum("l") == -1
+        assert exponent_sum(relator, "c") == 2
+        assert exponent_sum(relator, "l") == -1
         longitude = (W("c") ** -(2 * s - 2) * W("l c") * W("l") ** s * W("c")
                      * W("l") ** s * W("c l") * W("c") ** -(2 * s + 9))
-        assert longitude.exponent_sum("c") == -4 * s - 4
-        assert longitude.exponent_sum("l") == 2 * s + 2
-    assert Word().exponent_sum("g") == 0
+        assert exponent_sum(longitude, "c") == -4 * s - 4
+        assert exponent_sum(longitude, "l") == 2 * s + 2
+    assert exponent_sum(Word(), "g") == 0
 
 
 def test_palindrome_rotation_examples():
@@ -156,7 +161,7 @@ def test_negative_powers_are_inverse_powers(w, n):
 
 @given(words, words, names)
 def test_exponent_sum_additive(u, v, g):
-    assert (u * v).exponent_sum(g) == u.exponent_sum(g) + v.exponent_sum(g)
+    assert exponent_sum(u * v, g) == exponent_sum(u, g) + exponent_sum(v, g)
 
 
 @given(st.lists(letters, max_size=30), names, words)
