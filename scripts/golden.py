@@ -166,6 +166,10 @@ def grid() -> list[tuple[list[str], bool]]:
     for argv in (["--slope", "1/6000", "--depth", 1], ["--slope", "10000/1", "--depth", 15]):
         add(True, "nlo", "--s", 3, *argv)
         add(True, "nlo", "--s", 3, *argv, "--format", "json")
+    # a huge s: h1 sums the closed forms' runs and builds no word of O(s) letters
+    huge_s = ["h1", "--s", 10 ** 12, "--slope", f"{10 ** 17 + 1}/1"]
+    add(True, *huge_s)
+    add(True, *huge_s, "--format", "json")
     return cases
 
 

@@ -155,8 +155,8 @@ def _cmd_nlo(args):
         replay = replay_certificate(document)
         document["replay"] = "OK" if replay.ok else "REJECTED"
         code = EXIT_PASS if replay.ok else EXIT_FAIL
-    if args.cert:
-        Path(args.cert).write_text(json.dumps(document, indent=2), encoding="utf-8")
+        if args.cert:  # an inconclusive search has no certificate to write
+            Path(args.cert).write_text(json.dumps(document, indent=2), encoding="utf-8")
 
     def text():
         return "".join([

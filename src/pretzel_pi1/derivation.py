@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .knot import check_s, final_relator, knot_group_presentation, longitude_word
+from .knot import check_s, final_relator, longitude_word
 from .presentations import (
     AddGenerator,
-    Check,
     DerivationTrace,
     Insertion,
     InvertRelator,
@@ -45,13 +44,13 @@ from .presentations import (
     RemoveGenerator,
     RemoveRelator,
     Replay,
-    Report,
     RewriteLongitude,
     RewriteRelator,
     RotateRelator,
     SubstituteEverywhere,
     solve_for,
 )
+from .report import Check, Report
 from .words import Word, parse_word, rotation_witness, splice
 
 
@@ -137,7 +136,7 @@ def tunnel_collapse(s: int) -> Presentation:
     p = wirtinger_presentation(s)
     for move in tunnel_moves(s):
         p = move.apply(p)
-    return p.replace(provenance=f"tunnel s={s}")
+    return replace(p, provenance=f"tunnel s={s}")
 
 
 @dataclass(frozen=True)
@@ -316,6 +315,12 @@ def _rewrite_relator(p: Presentation, label: str, old: Word, new: Word,
     return RewriteRelator(label, (ins,), macro=macro)
 
 
+def knot_group_presentation(s: int) -> Presentation:
+    """<c, l | r_inf>, the closed-form end of the pipeline."""
+    return Presentation(("c", "l"), (("r_inf", final_relator(s)),),
+                        provenance=f"pipeline s={s}")
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     trace: DerivationTrace  # the Tietze moves, then the longitude simplification
@@ -414,7 +419,7 @@ def run_pipeline(s: int) -> PipelineResult:
     for move in simplify_longitude(s, l12):
         do(move)
     # the ends are the closed forms, so finish checks the stepper against them
-    end = knot_group_presentation(s).replace(provenance=f"pipeline s={s}")
+    end = knot_group_presentation(s)
     trace = DerivationTrace(start, tuple(moves), end, lon_start, longitude_word(s))
     return PipelineResult(trace, l12, replay.finish(trace.end, trace.longitude_end))
 

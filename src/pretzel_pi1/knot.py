@@ -11,11 +11,11 @@ nothing that produces a proof: the derivation that reaches r_inf and the
 longitude lives in derivation.py, the filling and the nlo search in
 surgery.py.
 
-|H_1| of a filling never needs the filling word.  Exponent sums add under
+|H_1| of a filling needs no word at all.  Exponent sums add under
 products and survive free reduction, so c^p L^q abelianizes to
-p*row(c) + q*row(L), where row is presentations.exponent_row, the one
-name-keyed row that every H_1 here is read from.  So h1_order (which
-`h1`, `nlo` and certificate replay use) costs the same for every slope.
+p*row(c) + q*row(L), and each row is a sum over the closed form's runs.
+So h1_order (which `h1`, `nlo` and certificate replay use) costs the
+same for every s and every slope.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .presentations import Presentation, exponent_row, row_plus
-from .smith import group_order, sparse_invariants
 from .words import Word
 
 
@@ -34,26 +32,25 @@ def check_s(s: int) -> int:
     return s
 
 
-def final_relator(s: int) -> Word:
+def _relator_runs(s: int) -> list[tuple[str, int]]:
     check_s(s)
-    return Word.from_syllables([
-        ("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1), ("l", -s),
-        ("c", -1), ("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", s - 1),
-    ])
+    return [("c", 1), ("l", 1), ("c", 1), ("l", -1), ("c", -1), ("l", -s),
+            ("c", -1), ("l", -1), ("c", 1), ("l", 1), ("c", 1), ("l", s - 1)]
 
 
-def knot_group_presentation(s: int) -> Presentation:
-    return Presentation(("c", "l"), (("r_inf", final_relator(s)),),
-                        provenance=f"knot_group s={s}")
+def final_relator(s: int) -> Word:
+    return Word.from_syllables(_relator_runs(s))
+
+
+def _longitude_runs(s: int) -> list[tuple[str, int]]:
+    check_s(s)
+    return [("c", -(2 * s - 2)), ("l", 1), ("c", 1), ("l", s), ("c", 1),
+            ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9))]
 
 
 def longitude_word(s: int) -> Word:
     """The simplified longitude: null-homologous companion of the meridian c."""
-    check_s(s)
-    return Word.from_syllables([
-        ("c", -(2 * s - 2)), ("l", 1), ("c", 1), ("l", s), ("c", 1),
-        ("l", s), ("c", 1), ("l", 1), ("c", -(2 * s + 9)),
-    ])
+    return Word.from_syllables(_longitude_runs(s))
 
 
 def clasp_word(s: int) -> Word:
@@ -137,13 +134,19 @@ def fact_exponent(s: int, slope: Slope) -> int:
     return slope.p - (4 * s + 7) * slope.q
 
 
+def _row(runs: list[tuple[str, int]]) -> tuple[int, int]:
+    """The exponent sums (of c, of l) of the word with these runs."""
+    return sum(e for g, e in runs if g == "c"), sum(e for g, e in runs if g == "l")
+
+
 def h1_order(s: int, slope: Slope) -> int:
     """|H_1| of the filled manifold; 0 means infinite.
 
     The same group as surgery.surgered_presentation(s, slope).abelian_invariants()
-    gives, from the exponent rows of its relators: row(r_inf), and
-    p*row(c) + q*row(L) for the filling.
+    gives: Z^2 modulo row(r_inf) and p*row(c) + q*row(L) for the filling.  A
+    quotient of Z^2 by two rows is finite exactly when their determinant is
+    nonzero, and then has order |det|.
     """
-    r_inf = exponent_row(final_relator(s))
-    filling = row_plus({"c": slope.p}, exponent_row(longitude_word(s)), slope.q)
-    return group_order(sparse_invariants([r_inf, filling], 2))
+    (r_c, r_l), (lon_c, lon_l) = _row(_relator_runs(s)), _row(_longitude_runs(s))
+    fill_c, fill_l = slope.p + slope.q * lon_c, slope.q * lon_l
+    return abs(r_c * fill_l - r_l * fill_c)

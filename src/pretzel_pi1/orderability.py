@@ -31,7 +31,7 @@ from typing import Optional
 
 from .knot import (Slope, bezout_k, check_s, clasp_identity_holds, clasp_word,
                    fact_exponent, final_relator, h1_order, longitude_word)
-from .presentations import Report, _bool, _decoded, _int
+from .report import Report, _bool, _decoded, _exactly, _int
 from .words import CyclicWord, Word, parse_word, rotation_witness
 
 
@@ -74,18 +74,6 @@ def cited_params(s: int, slope: Slope) -> dict:
     return {"p_odd": slope.p % 2 != 0, "slope_bound": 4 * s + 7,
             "relator": final_relator(s).tokens(), "longitude": longitude_word(s).tokens(),
             "clasp": clasp_word(s).tokens()}
-
-
-def _exactly(value, expected) -> bool:
-    """value == expected with every JSON type exact: true is no 1, and 2.0 no 2."""
-    if type(value) is not type(expected):
-        return False
-    if isinstance(expected, dict):
-        return value.keys() == expected.keys() and all(
-            _exactly(value[key], item) for key, item in expected.items())
-    if isinstance(expected, list):
-        return len(value) == len(expected) and all(map(_exactly, value, expected))
-    return value == expected
 
 
 @dataclass(frozen=True)

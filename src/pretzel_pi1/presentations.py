@@ -16,19 +16,14 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from . import smith
+from .report import PresentationError, Report, _bool, _decoded, _int, _list, _text
 from .words import Word, is_generator_name, parse_word, rotation_witness, splice
-
-
-class PresentationError(ValueError):
-    pass
 
 
 class SideConditionViolated(Exception):
     """A Tietze move whose syntactic side condition fails on this input."""
 
     def __init__(self, move, reason: str):
-        self.move = move
-        self.reason = reason
         super().__init__(f"{type(move).__name__}: {reason}")
 
 
@@ -178,14 +173,6 @@ class Presentation:
     def labels_with(self, gen: str) -> set[str]:
         """The labels of the relators in which gen occurs."""
         return {label for label, word in self._words.items() if gen in word.generators()}
-
-    def replace(self, **changes) -> "Presentation":
-        data = {"generators": self.generators, "relators": self.relators,
-                "provenance": self.provenance}
-        data.update(changes)
-        return Presentation(**data)
-
-    # -- abelianization ----------------------------------------------
 
     def abelian_invariants(self) -> tuple[int, ...]:
         return smith.sparse_invariants(_rows(self).values(), len(self.generators))
@@ -526,49 +513,6 @@ class DerivationTrace:
     longitude_end: Optional[Word] = None
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named check of a Report; a failing check says why."""
-    name: str
-    ok: bool
-    reason: str = ""
-    index: Optional[int] = None  # the move or step the check is located at
-
-    def __str__(self) -> str:
-        return self.name + (f": {self.reason}" if self.reason else "")
-
-
-@dataclass
-class Report:
-    """What every checker returns: its checks in order and one verdict."""
-    label: str
-    checks: list[Check] = field(default_factory=list)
-    detail: str = ""  # the failure in one line, from checkers that summarize it
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def add(self, name: str, ok: bool, reason: str = "", index: Optional[int] = None,
-            detail: str = "") -> bool:
-        """Record a check.  Only when it fails is its reason kept and, if
-        given, detail joined to the report's detail with "; "."""
-        self.checks.append(Check(name, ok, "" if ok else reason, index))
-        if not ok and detail:
-            self.detail = f"{self.detail}; {detail}" if self.detail else detail
-        return ok
-
-    def first_failure(self) -> Optional[Check]:
-        return next((check for check in self.checks if not check.ok), None)
-
-    def __str__(self) -> str:
-        lines = [f"{self.label}:"]
-        lines += [f"  {'ok  ' if check.ok else 'FAIL'} {check}" for check in self.checks]
-        lines.append(("PASS" if self.ok else "FAIL")
-                     + (f" -- {self.detail}" if self.detail else ""))
-        return "\n".join(lines)
-
-
 def apply_move(p: Presentation, move: Move,
                longitude: Optional[Word] = None) -> tuple[Presentation, Delta]:
     """The presentation move makes of p, and its Delta, with the longitude after it."""
@@ -657,19 +601,6 @@ def _insertion_json(ins: Insertion) -> dict:
 def _insertion_from_json(data: dict) -> Insertion:
     return Insertion(_text(data["rel"]), _bool(data["inv"]),
                      parse_word(data["conj"]), _int(data["at"]))
-
-
-def _json_type(kind: type, noun: str):
-    """A decoder that passes a JSON value of type kind only: a bool is no int."""
-    def decode(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected {noun}, got {value!r}")
-        return value
-    return decode
-
-
-_text, _list, _int, _bool = (_json_type(str, "a string"), _json_type(list, "a list"),
-                             _json_type(int, "an integer"), _json_type(bool, "a boolean"))
 
 
 # kind -> move class; the JSON of a move is its dataclass fields
@@ -762,15 +693,6 @@ def trace_to_json(trace: DerivationTrace) -> dict:
             "end": presentation_to_json(trace.end),
             "longitude_start": _field_json(trace.longitude_start),
             "longitude_end": _field_json(trace.longitude_end)}
-
-
-def _decoded(where: str, decode, *args):
-    try:
-        return decode(*args)
-    except KeyError as exc:
-        raise PresentationError(f"{where} has no field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise PresentationError(f"{where}: {exc}") from exc
 
 
 def trace_from_json(data: dict) -> DerivationTrace:

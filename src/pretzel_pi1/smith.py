@@ -129,12 +129,3 @@ def sparse_invariants(rows: Iterable[Row], n_generators: int) -> tuple[int, ...]
     free = n_generators - units - len(diag)
     return tuple([d for d in diag if d > 1] + [0] * free)
 
-
-def group_order(invariants: tuple[int, ...]) -> int:
-    """Order of the abelian group with these factors; 0 means infinite."""
-    order = 1
-    for d in invariants:
-        if d == 0:
-            return 0
-        order *= d
-    return order

@@ -27,7 +27,8 @@ from .knot import (PeripheralVector, Slope, bezout_k, check_s, clasp_identity_ho
                    fact_exponent, final_relator, longitude_word)
 from .orderability import (CLOSING_RULES, ENGINE_VERSION, RULES, BranchContext, EngineError,
                            Fact, Sign, cited_params, clash)
-from .presentations import Presentation, Report
+from .presentations import Presentation
+from .report import Report
 from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness
 
 MERIDIAN = PeripheralVector(1, 0)

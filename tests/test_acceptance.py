@@ -11,6 +11,7 @@ from test_orderability import saturate
 from test_presentations import dense_null_homologous, random_move, random_presentation
 
 from pretzel_pi1.derivation import (
+    knot_group_presentation,
     run_pipeline,
     simplify_longitude,
     verify_L_induction,
@@ -21,7 +22,6 @@ from pretzel_pi1.knot import (
     clasp_word,
     final_relator,
     h1_order,
-    knot_group_presentation,
     longitude_word,
 )
 from pretzel_pi1.orderability import Sign, replay_certificate

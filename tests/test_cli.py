@@ -2,9 +2,11 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -410,11 +412,30 @@ def test_nlo_exit_codes_and_cert_file(tmp_path):
     assert proc.returncode == 0
     saved = json.loads(cert_file.read_text())
     assert saved["verdict"] == "not_left_orderable"
-    proc = run_cli("nlo", "--s", "3", "--slope", "17/1")
+    inconclusive_file = tmp_path / "none.json"
+    proc = run_cli("nlo", "--s", "3", "--slope", "17/1", "--cert", str(inconclusive_file))
     assert proc.returncode == 3
+    assert not inconclusive_file.exists()  # no certificate, so no file
     proc = run_cli("nlo", "--s", "3", "--slope", "18/1", "--format", "json")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["verdict"] == "inconclusive"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("s, p", [(10 ** 12, 10 ** 17 + 1), (10 ** 8, 4 * 10 ** 8 + 7)])
+def test_h1_at_huge_s_builds_no_word(s, p):
+    """|H1| comes from the closed forms' runs, so an s whose relator would have
+    O(s) letters costs no more than s=3, under a 4 GB address space."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pretzel_pi1", "h1", "--s", str(s),
+                           "--slope", f"{p}/1"], capture_output=True, text=True,
+                          preexec_fn=_limit_memory, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, f"{p}\n"), proc.stderr
+    assert elapsed < 2
 
 
 def test_nlo_depth_env():

@@ -14,13 +14,14 @@ from pretzel_pi1.derivation import (
     closed_form_R,
     descending_product,
     expected_l12,
+    knot_group_presentation,
     run_pipeline,
     simplify_longitude,
     verify_L_induction,
     verify_R_induction,
     _fragments,
 )
-from pretzel_pi1.knot import final_relator, knot_group_presentation, longitude_word
+from pretzel_pi1.knot import final_relator, longitude_word
 from pretzel_pi1.presentations import (
     AddGenerator,
     Presentation,
@@ -322,8 +323,8 @@ def test_pipeline_trace_replays_with_abelian_checks(s):
 
 def test_trace_negative_control():
     result = run_pipeline(3)
-    bad_end = result.trace.end.replace(
-        relators=(("r_inf", final_relator(3) * W("c")),))
+    bad_end = dataclasses.replace(
+        result.trace.end, relators=(("r_inf", final_relator(3) * W("c")),))
     report = replay_trace(
         type(result.trace)(result.trace.start, result.trace.moves, bad_end,
                            result.trace.longitude_start, result.trace.longitude_end))

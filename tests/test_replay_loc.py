@@ -13,7 +13,7 @@ _spec = importlib.util.spec_from_file_location("replay_loc", ROOT / "scripts" / 
 replay_loc = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(replay_loc)
 
-CHECKING = ("words", "smith", "presentations", "knot", "orderability")
+CHECKING = ("words", "report", "smith", "presentations", "knot", "orderability")
 PRODUCING = ("derivation", "surgery", "cli")
 
 
@@ -29,15 +29,34 @@ def test_a_checking_module_imports_no_producing_module(module):
     assert not imported & set(PRODUCING), imported
 
 
+def loaded_by(*modules):
+    """The modules of sys.modules after importing modules in a fresh interpreter."""
+    code = f"import sys, {', '.join(modules)}; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
 def test_the_checkers_load_alone():
     """Importing both checkers in a fresh interpreter loads no producing module."""
-    code = ("import sys, pretzel_pi1.orderability, pretzel_pi1.presentations; "
-            "print(' '.join(sorted(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
+    loaded = loaded_by("pretzel_pi1.orderability", "pretzel_pi1.presentations")
     assert "pretzel_pi1.orderability" in loaded
-    assert not {f"pretzel_pi1.{module}" for module in PRODUCING} & set(loaded), loaded
+    assert not {f"pretzel_pi1.{module}" for module in PRODUCING} & loaded, loaded
+
+
+def test_the_certificate_checker_loads_only_its_kernel():
+    """The certificate checker needs the closed forms and the shared report,
+    not the Tietze moves, the trace codec or the Smith normal form."""
+    loaded = {name for name in loaded_by("pretzel_pi1.orderability")
+              if name.split(".")[0] == "pretzel_pi1"}
+    assert loaded == {"pretzel_pi1", "pretzel_pi1.words", "pretzel_pi1.knot",
+                      "pretzel_pi1.report", "pretzel_pi1.orderability"}
+
+
+@pytest.mark.parametrize("module", ["knot", "orderability"])
+def test_the_certificate_kernel_imports_no_tietze_engine(module):
+    imported = replay_loc.package_imports(replay_loc.SOURCE / f"{module}.py")
+    assert not imported & {"presentations", "smith"}, imported
 
 
 def test_package_imports_reads_every_import_form(tmp_path):
@@ -57,7 +76,7 @@ def test_replay_paths_do_not_grow():
     closures = replay_loc.count()
     trace, cert = closures["trace replay"], closures["certificate replay"]
     assert sum(trace.values()) <= 1334, trace
-    assert sum(cert.values()) <= 1817, cert
+    assert sum(cert.values()) <= 961, cert
 
 
 def test_only_words_reads_the_letter_tuple():
