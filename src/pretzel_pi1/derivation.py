@@ -12,8 +12,9 @@ simplifies the resulting longitude word to
     c^-(2s-2) l c l^s c l^s c l c^-(2s+9)
 
 using justified consequences of the single relator.  Closed forms for
-the intermediate relators and longitude fragments are verified against
-an iterative substitution oracle (verify_R_induction, verify_L_induction).
+the relator and the longitude after each corkscrew elimination are
+verified against an iterative substitution oracle (verify_R_induction,
+verify_L_induction).
 
 The starting data are generated straight from s: the Wirtinger
 presentation (one generator per arc, one relator per crossing), the
@@ -22,10 +23,6 @@ diagram.  The diagram itself is never modeled; the crossing schema is
 complete as a function of s.  The closed-form endpoints the derivation
 must reach, r_inf and the simplified longitude, are defined in knot.py,
 which the checkers read without loading this module.
-
-Products written prod(a, b, x_n) here iterate with a DECREASING index,
-x_a x_{a-1} ... x_b; a == b-1 gives the empty product and anything
-steeper is rejected.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .presentations import (
     solve_for,
 )
 from .report import Check, Report
-from .words import Word, parse_word, rotation_witness, splice
+from .words import Word, parse_word, rotation_witness
 
 
 class DerivationError(RuntimeError):
@@ -64,13 +61,6 @@ class MoveRejected(DerivationError):
     def __init__(self, check: Check):
         self.check = check
         super().__init__(f"{check.name} rejected: {check.reason}")
-
-
-def descending_product(a: int, b: int, factor: Callable[[int], Word]) -> Word:
-    """prod over n = a, a-1, ..., b; empty when a == b-1; steeper is an error."""
-    if a < b - 1:
-        raise DerivationError(f"ascending product bounds {a}..{b} rejected")
-    return splice(*(factor(n) for n in range(a, b - 1, -1)))
 
 
 # -- starting data ----------------------------------------------------------
@@ -139,30 +129,21 @@ def tunnel_collapse(s: int) -> Presentation:
     return replace(p, provenance=f"tunnel s={s}")
 
 
-@dataclass(frozen=True)
-class LongitudeReading:
-    """The longitude as read along the knot, plus the writhe correction.
+def initial_longitude(s: int) -> Word:
+    """The longitude read along the knot, then the writhe correction.
 
-    arcs is the raw label sequence (2s+6 letters, all read positively
-    under the fixed orientation); alpha = -(sum of read signs) is the
-    exponent of the meridian correction appended at the end.
+    The 2s+6 arc labels a f c f_2s-1 ... f_3 f_1 c g f_2s-2 ... f_2 a e are
+    all read positively under the fixed orientation, so the meridian
+    correction appended at the end is c^alpha with alpha = -(sum of the read
+    signs) = -(2s+6), which makes the longitude null-homologous.
     """
-    arcs: Word
-    alpha: int
-
-    @property
-    def word(self) -> Word:
-        return self.arcs * Word.from_syllables([("c", self.alpha)])
-
-
-def initial_longitude(s: int) -> LongitudeReading:
     check_s(s)
     arcs = [("a", 1), ("f", 1), ("c", 1)]
     arcs += [(f"f{i}", 1) for i in range(2 * s - 1, 0, -2)]
     arcs += [("c", 1), ("g", 1)]
     arcs += [(f"f{i}", 1) for i in range(2 * s - 2, 1, -2)]
     arcs += [("a", 1), ("e", 1)]
-    return LongitudeReading(Word.from_syllables(arcs), -(2 * s + 6))
+    return Word.from_syllables(arcs + [("c", -(2 * s + 6))])
 
 
 # -- closed forms -----------------------------------------------------------
@@ -181,49 +162,28 @@ def closed_form_R(i: int, s: int) -> Word:
                                + [(y, 1), (x, 1)] * j + [("a", -1)])
 
 
-@dataclass(frozen=True)
-class LongitudeFragments:
-    """The two variable segments of the longitude after i eliminations."""
-    left: Word
-    right: Word
-    index: int
-
-
-def _fragments(i: int, s: int) -> LongitudeFragments:
-    j = (i + 1) // 2
-    odd_run = descending_product(s, j + 1, lambda n: Word.generator(strand_name(2 * n - 1, s)))
-    if i % 2:  # i == 2j-1
-        x, y = strand_name(2 * j - 1, s), strand_name(2 * j, s)
-        left = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
-        even_run = descending_product(s - 1, j, lambda n: Word.generator(strand_name(2 * n, s)))
-        right = [(x, -(j - 1))] + [(y, 1), (x, 1)] * (j - 1)
-    else:  # i == 2j
-        x, y = strand_name(2 * j, s), strand_name(2 * j + 1, s)
-        left = [(x, -j)] + [(y, 1), (x, 1)] * j
-        even_run = descending_product(s - 1, j + 1, lambda n: Word.generator(strand_name(2 * n, s)))
-        right = [(y, -(j - 1)), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
-    return LongitudeFragments(splice(odd_run, Word.from_syllables(left)),
-                              splice(even_run, Word.from_syllables(right)), i)
-
-
-def closed_form_L_fragments(i: int, s: int) -> LongitudeFragments:
+def closed_form_L(i: int, s: int) -> Word:
+    """The longitude after i corkscrew eliminations: a f c, the odd strands
+    above f_i (f_2s-1 first), the left segment, c, the even strands above f_i
+    (f_2s = g first), the right segment, a e c^-(2s+6).  With x = f_i and
+    y = f_i+1 the segments are y^-(j-1) x (y x)^(j-1) and x^-(j-1) (y x)^(j-1)
+    for i == 2j-1, and x^-j (y x)^j and y^-(j-1) x (y x)^(j-1) for i == 2j."""
     check_s(s)
-    if not 1 <= i <= 2 * s - 2:
-        raise DerivationError(f"fragment index {i} out of range 1..{2 * s - 2}")
-    return _fragments(i, s)
-
-
-def _assemble_longitude(fragments: LongitudeFragments, s: int) -> Word:
-    return splice(parse_word("a f c"), fragments.left, parse_word("c g"), fragments.right,
-                  Word.from_syllables([("a", 1), ("e", 1), ("c", -(2 * s + 6))]))
-
-
-def _terminal_longitude(s: int) -> Word:
-    """The longitude once the twist region is fully disentangled."""
-    bg = [("b", 1), ("g", 1)]
-    return Word.from_syllables([("a", 1), ("f", 1), ("c", 1), ("g", -s)] + bg * s
-                               + [("c", 1), ("b", -(s - 1)), ("g", 1)] + bg * (s - 1)
-                               + [("a", 1), ("e", 1), ("c", -(2 * s + 6))])
+    if not 1 <= i <= 2 * s:
+        raise DerivationError(f"longitude index {i} out of range 1..{2 * s}")
+    j = (i + 1) // 2
+    x, y = strand_name(i, s), strand_name(i + 1, s)
+    if i % 2:
+        left = [(y, 1 - j), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
+        right = [(x, 1 - j)] + [(y, 1), (x, 1)] * (j - 1)
+    else:
+        left = [(x, -j)] + [(y, 1), (x, 1)] * j
+        right = [(y, 1 - j), (x, 1)] + [(y, 1), (x, 1)] * (j - 1)
+    return Word.from_syllables([("a", 1), ("f", 1), ("c", 1)]
+                               + [(strand_name(m, s), 1) for m in range(2 * s - 1, i, -2)]
+                               + left + [("c", 1)]
+                               + [(strand_name(m, s), 1) for m in range(2 * s, i, -2)]
+                               + right + [("a", 1), ("e", 1), ("c", -(2 * s + 6))])
 
 
 # -- induction oracles -------------------------------------------------------
@@ -234,34 +194,31 @@ def _twist_replacement(i: int, s: int) -> Word:
     return Word.from_syllables([(x, -1), (strand_name(i + 2, s), 1), (x, 1)])
 
 
-def _induction(title: str, s: int, word: Word, expected: Callable[[int], Word]) -> Report:
+def _induction(title: str, s: int, word: Word, expected: Callable[[int, int], Word]) -> Report:
     """Steps 1..2s: word, then word with f_1..f_i substituted away at step i+1,
-    each compared with expected(step)."""
+    each compared with expected(step, s)."""
     report = Report(title)
     for i in range(2 * s):
         if i:
             word = word.substitute(strand_name(i, s), _twist_replacement(i, s))
-        report.add(f"step {i + 1}", word == expected(i + 1),
+        report.add(f"step {i + 1}", word == expected(i + 1, s),
                    "the substituted word differs from the closed form", i + 1)
     return report
 
 
-def verify_R_induction(s: int, closed_form: Callable[[int, int], Word] = closed_form_R,
-                       ) -> Report:
+def verify_R_induction(s: int) -> Report:
     """Iterative substitution oracle against the closed relator forms."""
     check_s(s)
     # base: eliminate f0 from the tunnel relator pair
     p2 = tunnel_collapse(s)
     base = p2.relator("r_inf").substitute("f0", solve_for(p2.relator("r7"), "f0"))
-    return _induction(f"R induction s={s}", s, base, lambda i: closed_form(i, s))
+    return _induction(f"R induction s={s}", s, base, closed_form_R)
 
 
-def verify_L_induction(s: int, fragments: Callable[[int, int], LongitudeFragments] = _fragments,
-                       ) -> Report:
-    """Iterative substitution oracle against the longitude fragment forms."""
+def verify_L_induction(s: int) -> Report:
+    """Iterative substitution oracle against the closed longitude forms."""
     check_s(s)
-    return _induction(f"L induction s={s}", s, initial_longitude(s).word, lambda i: (
-        _terminal_longitude(s) if i == 2 * s else _assemble_longitude(fragments(i, s), s)))
+    return _induction(f"L induction s={s}", s, initial_longitude(s), closed_form_L)
 
 
 # -- the pipeline longitude ---------------------------------------------------
@@ -336,7 +293,7 @@ def run_pipeline(s: int) -> PipelineResult:
     closed-form ends, knot_group_presentation(s) and longitude_word(s)."""
     check_s(s)
     start = wirtinger_presentation(s)
-    lon_start = initial_longitude(s).word
+    lon_start = initial_longitude(s)
     replay = Replay(start, lon_start)
     p, lon = start, lon_start
     moves: list = []

@@ -155,9 +155,6 @@ class Presentation:
                 and self.generators == other.generators
                 and self._words == other._words)
 
-    def __hash__(self) -> int:
-        return hash((self.generators, frozenset(self.relators)))
-
     def labels(self) -> list[str]:
         return [label for label, _ in self.relators]
 
@@ -166,6 +163,11 @@ class Presentation:
         if word is None:
             raise KeyError(f"no relator labeled {label!r}")
         return word
+
+    def inverse(self, label: str) -> Word:
+        """~relator(label), built once: a move makes a new presentation."""
+        done = self.__dict__.setdefault("_inverses", {})  # label -> inverted relator
+        return done[label] if label in done else done.setdefault(label, ~self.relator(label))
 
     def has_relator(self, label: str) -> bool:
         return label in self._words
@@ -260,9 +262,7 @@ class Insertion:
     position: int
 
     def perform(self, word: Word, p: Presentation) -> Word:
-        r = p.relator(self.relator)
-        if self.inverted:
-            r = ~r
+        r = p.inverse(self.relator) if self.inverted else p.relator(self.relator)
         if not 0 <= self.position <= len(word):
             raise PresentationError(f"insertion position {self.position} out of range")
         return splice(word[:self.position], self.conjugator, r, ~self.conjugator,

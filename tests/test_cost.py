@@ -8,8 +8,9 @@ are not.  Each bound is a growth ratio per doubling of the input size.
 import pytest
 
 from pretzel_pi1 import words
-from pretzel_pi1.derivation import verify_L_induction, verify_R_induction
+from pretzel_pi1.derivation import run_pipeline, verify_L_induction, verify_R_induction
 from pretzel_pi1.knot import Slope
+from pretzel_pi1.presentations import replay_trace
 from pretzel_pi1.surgery import nlo_search, surgered_presentation
 
 
@@ -47,6 +48,18 @@ def test_induction_letters_grow_at_most_4_4x_per_doubling_of_s(letters_built, in
     factor they cost O(s^2) each, and the ratio reads 5.5-7.1x."""
     counts = [letters_built(lambda: induction(s)) for s in (25, 50, 100)]
     assert all(r <= 4.4 for r in ratios(counts)), counts
+
+
+def test_derive_and_replay_letters_grow_at_most_4_4x_per_doubling_of_s(letters_built):
+    """The pipeline and its checked replay follow the induction's corkscrew
+    eliminations, so they grow about 4x per doubling as the inductions do
+    (3.6-3.9x measured); the trace is built before the replay is counted."""
+    traces = {s: run_pipeline(s).trace for s in (25, 50, 100)}
+    derive = [letters_built(lambda: run_pipeline(s)) for s in traces]
+    replay = [letters_built(lambda: replay_trace(trace, check_abelian=True))
+              for trace in traces.values()]
+    assert all(r <= 4.4 for r in ratios(derive)), derive
+    assert all(r <= 4.4 for r in ratios(replay)), replay
 
 
 def test_filling_letters_grow_at_most_2_2x_per_doubling_of_q(letters_built):

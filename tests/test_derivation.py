@@ -10,16 +10,14 @@ from pretzel_pi1 import derivation, presentations
 from pretzel_pi1.derivation import (
     DerivationError,
     MoveRejected,
-    closed_form_L_fragments,
+    closed_form_L,
     closed_form_R,
-    descending_product,
     expected_l12,
     knot_group_presentation,
     run_pipeline,
     simplify_longitude,
     verify_L_induction,
     verify_R_induction,
-    _fragments,
 )
 from pretzel_pi1.knot import final_relator, longitude_word
 from pretzel_pi1.presentations import (
@@ -48,14 +46,6 @@ def test_closed_form_R_examples():
         closed_form_R(0, 3)
     with pytest.raises(DerivationError):
         closed_form_R(7, 3)
-
-
-def test_descending_product_conventions():
-    fs = lambda n: W(f"f{n}")
-    assert descending_product(3, 1, fs) == W("f3 f2 f1")
-    assert descending_product(2, 3, fs) == Word()
-    with pytest.raises(DerivationError):
-        descending_product(1, 3, fs)
 
 
 # -- product-built references ---------------------------------------------
@@ -110,6 +100,14 @@ def reference_fragments(i, s):
     return left, right
 
 
+def reference_longitude(i, s):
+    """The longitude after i eliminations, assembled from its two fragments."""
+    if i == 2 * s:
+        return reference_terminal_longitude(s)
+    left, right = reference_fragments(i, s)
+    return W("a f c") * left * W("c g") * right * W("a e") * _letter_power("c", -(2 * s + 6))
+
+
 def reference_terminal_longitude(s):
     bg = _letter("b") * _letter("g")
     return (W("a f c") * _letter_power("g", -s) * bg ** s
@@ -128,32 +126,20 @@ def reference_expected_l12(s):
 def test_closed_forms_match_their_product_built_references(s):
     for i in range(1, 2 * s + 1):
         assert closed_form_R(i, s) == reference_closed_form_R(i, s), i
-    for i in range(1, 2 * s):
-        fragments = _fragments(i, s)
-        assert (fragments.left, fragments.right) == reference_fragments(i, s), i
-    assert derivation._terminal_longitude(s) == reference_terminal_longitude(s)
+        assert closed_form_L(i, s) == reference_longitude(i, s), i
     assert expected_l12(s) == reference_expected_l12(s)
-    fs = lambda n: W(f"f{n} g") if n % 3 else W(f"G f{n}")  # some seams cancel
-    for b in range(1, s + 1):
-        for a in range(b - 1, s + 2):
-            assert descending_product(a, b, fs) == reference_descending_product(a, b, fs)
 
 
-def test_fragment_examples():
-    f1 = closed_form_L_fragments(1, 3)
-    assert f1.left == W("f5 f3 f1")
-    assert f1.right == W("f4 f2")
-    f1s4 = closed_form_L_fragments(1, 4)
-    assert f1s4.left == W("f7 f5 f3 f1")
-    assert f1s4.right == W("f6 f4 f2")
-    f4 = closed_form_L_fragments(4, 3)
-    assert f4.left == W("f5 F4 F4 f5 f4 f5 f4")
-    assert f4.right == W("F5 f4 f5 f4")
-    f3 = closed_form_L_fragments(3, 3)
-    assert f3.left == W("f5 F4 f3 f4 f3")
-    assert f3.right == W("f4 F3 f4 f3")
-    with pytest.raises(DerivationError):
-        closed_form_L_fragments(5, 3)  # public range stops at 2s-2
+def test_closed_form_L_examples():
+    # at i = 1 nothing is substituted yet: the initial longitude
+    assert closed_form_L(1, 3) == W("a f c f5 f3 f1 c g f4 f2 a e c^-12")
+    assert closed_form_L(1, 4) == W("a f c f7 f5 f3 f1 c g f6 f4 f2 a e c^-14")
+    assert closed_form_L(3, 3) == W("a f c f5 F4 f3 f4 f3 c g f4 F3 f4 f3 a e c^-12")
+    assert closed_form_L(4, 3) == W("a f c f5 F4 F4 f5 f4 f5 f4 c g F5 f4 f5 f4 a e c^-12")
+    assert closed_form_L(6, 3) == W("a f c G G G b g b g b g c B B g b g b g a e c^-12")
+    for i in (0, 7):
+        with pytest.raises(DerivationError):
+            closed_form_L(i, 3)
 
 
 @pytest.mark.parametrize("s", list(range(3, 7)) + [15])
@@ -162,30 +148,29 @@ def test_inductions_pass(s):
     assert verify_L_induction(s).ok
 
 
-def test_R_induction_negative_control():
+def test_R_induction_negative_control(monkeypatch):
     def perturbed(i, s):
         word = closed_form_R(i, s)
         if i == 2:
             return word * W("c")
         return word
 
-    report = verify_R_induction(3, closed_form=perturbed)
+    monkeypatch.setattr(derivation, "closed_form_R", perturbed)
+    report = verify_R_induction(3)
     assert not report.ok
     assert report.first_failure().index == 2
 
 
-def test_L_induction_negative_control():
-    def wrong_convention(i, s):
-        frag = _fragments(i, s)
-        j = (i + 1) // 2
-        if j == 1:
-            # botch the empty-product convention at j=1
-            return type(frag)(frag.left * W("f2"), frag.right, i)
-        return frag
+def test_L_induction_negative_control(monkeypatch):
+    def botched(i, s):
+        # one letter too many at j = 1
+        word = closed_form_L(i, s)
+        return word * W("f2") if i <= 2 else word
 
-    report = verify_L_induction(3, fragments=wrong_convention)
+    monkeypatch.setattr(derivation, "closed_form_L", botched)
+    report = verify_L_induction(3)
     assert not report.ok
-    assert report.first_failure().index <= 2
+    assert report.first_failure().index == 1
 
 
 # -- expected intermediate states of the bundled s=3 run ---------------------

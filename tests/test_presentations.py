@@ -489,6 +489,38 @@ def test_remove_generator_solves_its_relator_once(monkeypatch):
     assert len(solves) == 208 + kinds.count(SubstituteEverywhere)
 
 
+def test_an_insertion_inverts_its_relator_once_per_presentation(monkeypatch):
+    """Replaying the s=20 trace inverts each relator word an inverted insertion
+    cites at most once per presentation.  The 2s-1 rewrites b g -> h all cite
+    r6 and the s longitude simplification steps all cite r_inf, each of one
+    presentation, and inverted it every time."""
+    trace = run_pipeline(20).trace
+    inversions, citing, kept, inverted = Counter(), [], [], []
+    perform, invert = Insertion.perform, Word.__invert__
+
+    def citing_perform(self, word, p):
+        citing.append((p, self.relator))
+        kept.append(p)  # keeps each id unique while the counts are read
+        inverted.append(self.inverted)
+        try:
+            return perform(self, word, p)
+        finally:
+            citing.pop()
+
+    def counting_invert(self):
+        if citing:
+            p, label = citing[-1]
+            if self is p.relator(label):
+                inversions[id(p), label] += 1
+        return invert(self)
+
+    monkeypatch.setattr(Insertion, "perform", citing_perform)
+    monkeypatch.setattr(Word, "__invert__", counting_invert)
+    assert replay_trace(trace).ok
+    assert inverted.count(True) > 20
+    assert max(inversions.values()) == 1, inversions.most_common(1)
+
+
 def test_carried_generator_sets_match_a_fresh_index():
     """After every move of the s=3..12 traces, the generator sets a presentation
     carries over from its parent are those the public constructor finds."""

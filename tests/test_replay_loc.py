@@ -93,3 +93,37 @@ def test_only_words_reads_the_letter_tuple():
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Word"):
                 found.append(f"{path.name}:{node.lineno}: Word(...)")
     assert found == []
+
+
+# the functions outside words.py that read a word's (name, sign) letters by iterating it
+ITERATING = {"presentations.solve_for", "presentations.exponent_row",
+             "derivation.simplify_longitude"}
+
+
+def test_only_three_functions_iterate_a_word(tmp_path, monkeypatch, capsys):
+    """Iteration hands out a word's letters, which the ast check above cannot
+    see.  Every command that builds or checks a proof runs in process with
+    Word.__iter__ wrapped to record the nearest enclosing function of the
+    package; each is one of ITERATING."""
+    from pretzel_pi1 import cli
+    from pretzel_pi1.words import Word
+
+    package, callers, iterate = os.path.dirname(cli.__file__), set(), Word.__iter__
+
+    def recording_iter(self):
+        frame = sys._getframe(1)
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) != package:
+            frame = frame.f_back
+        if frame is not None:
+            callers.add(f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_name}")
+        return iterate(self)
+
+    monkeypatch.setattr(Word, "__iter__", recording_iter)
+    trace = str(tmp_path / "trace.json")
+    for argv in (["derive", "--s", "4", "--emit-trace", trace],
+                 ["verify", "trace", trace, "--check-abelian"],
+                 ["nlo", "--s", "3", "--slope", "19/1"], ["h1", "--s", "3", "--slope", "19/1"],
+                 ["surgery", "--s", "3", "--slope", "19/1"], ["verify", "induction", "--s", "4"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert callers and callers <= ITERATING, callers
