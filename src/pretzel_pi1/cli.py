@@ -122,6 +122,8 @@ def _cmd_trace(args):
         data = json.loads(Path(args.file).read_text(encoding="utf-8"))
     except RecursionError:  # nesting deeper than the parser's recursion limit
         raise ValueError(f"{args.file}: JSON nested too deeply to read") from None
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
+        raise ValueError(f"{args.file}: {exc}") from None
     trace = trace_from_json(data)
     report = replay_trace(trace, check_abelian=args.check_abelian)
     failed = report.first_failure()
@@ -140,7 +142,10 @@ def _cmd_h1(args):
 
 
 def _cmd_abelianize(args):
-    presentation = Presentation.from_text(Path(args.file).read_text(encoding="utf-8"))
+    try:
+        presentation = Presentation.from_text(Path(args.file).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:  # bytes that are not UTF-8
+        raise ValueError(f"{args.file}: {exc}") from None
     invariants = presentation.abelian_invariants()
     return (EXIT_PASS, lambda: _doc("abelianize", file=args.file, invariants=list(invariants)),
             lambda: (" ".join(map(str, invariants)) if invariants else "trivial") + "\n")

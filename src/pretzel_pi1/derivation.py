@@ -48,7 +48,7 @@ from .presentations import (
     solve_for,
 )
 from .report import Check, Report
-from .words import Word, parse_word, rotation_witness
+from .words import Word, parse_word, rotation_witness, splice
 
 
 class DerivationError(RuntimeError):
@@ -241,14 +241,14 @@ def _replacement_insertion(word: Word, pos: int, old: Word, new: Word,
     """Insertion that swaps old for new at pos, justified by the relator."""
     if word[pos:pos + len(old)] != old:
         raise DerivationError(f"no occurrence of {old} at position {pos} in {word}")
-    diff = new * ~old
+    diff = splice(new, ~old)
     cyclic, outer = relator.cyclic_reduce()
     witness = rotation_witness(diff, cyclic)
     if witness is None:
         raise DerivationError(f"replacement {old} -> {new} is not justified by {relator}")
     core = ~cyclic.word if witness["inverted"] else cyclic.word
     prefix = core[:witness["rotation"]]
-    conj = witness["conjugator"] * ~prefix * ~outer
+    conj = splice(witness["conjugator"], ~prefix, ~outer)
     return Insertion(label, witness["inverted"], conj, pos)
 
 
@@ -406,8 +406,8 @@ def simplify_longitude(s: int, l12: Word) -> tuple[RewriteLongitude, ...]:
         raise DerivationError("simplification chain did not reach the closed form")
     relator, first = final_relator(s), chain_word(1)
     # the tail: the pipeline longitude becomes chain word 1 after their common prefix
-    k = next((i for i, (a, b) in enumerate(zip(l12, first)) if a != b),
-             min(len(l12), len(first)))
+    n = min(len(l12), len(first))
+    k = next((i for i in range(n) if l12[i:i + 1] != first[i:i + 1]), n)
     steps = [_replacement_insertion(l12, k, l12[k:], first[k:], "r_inf", relator)]
     # chain word n to n+1: at offset s-2+n, l c l^s bracket becomes c^-1 l c l^s
     unfold = _replacement_insertion(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .words import Word
+from .words import Word, splice
 
 
 def check_s(s: int) -> int:
@@ -62,8 +62,8 @@ def clasp_word(s: int) -> Word:
 
 def clasp_identity_holds(s: int) -> bool:
     """~longitude == c^(2s+9) * ~clasp * c^(2s-2) by free reduction alone."""
-    rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
-           * Word.from_syllables([("c", 2 * s - 2)]))
+    rhs = splice(Word.from_syllables([("c", 2 * s + 9)]), ~clasp_word(s),
+                 Word.from_syllables([("c", 2 * s - 2)]))
     return ~longitude_word(s) == rhs
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 from .knot import (Slope, bezout_k, check_s, clasp_identity_holds, clasp_word,
                    fact_exponent, final_relator, h1_order, longitude_word)
 from .report import Report, _bool, _decoded, _exactly, _int
-from .words import CyclicWord, Word, parse_word, rotation_witness
+from .words import CyclicWord, Word, parse_word, rotation_witness, splice
 
 
 class EngineError(RuntimeError):
@@ -160,13 +160,13 @@ def _product(ctx, prem, args, claim):
     sign = _combine(a, b)
     if sign is None:
         raise EngineError("cannot sign a strictly mixed product")
-    return u * v, sign
+    return splice(u, v), sign
 
 
 def _conjugate(ctx, prem, args, claim):
     (word, sign), = prem
     x = parse_word(args["conjugator"])
-    return x * word * ~x, sign
+    return splice(x, word, ~x), sign
 
 
 def _relator(ctx, prem, args, claim):
@@ -174,7 +174,7 @@ def _relator(ctx, prem, args, claim):
     (word, sign), = prem
     target = claim[0]
     core = ctx.cores.get(args["relator"])
-    witness = None if core is None else rotation_witness(~target * word, core)
+    witness = None if core is None else rotation_witness(splice(~target, word), core)
     if not witness or (witness["rotation"], witness["inverted"]) != (
             _int(args["rotation"]), _bool(args["inverted"])):
         raise EngineError("relator transfer not witnessed by a relator of the group")

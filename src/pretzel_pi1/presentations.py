@@ -11,7 +11,6 @@ are explicit moves, which keeps replay deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -214,11 +213,12 @@ class Presentation:
 
 def solve_for(word: Word, gen: str) -> Word:
     """Solve relator == 1 for its unique occurrence of gen."""
-    hits = [(i, sign) for i, (name, sign) in enumerate(word) if name == gen]
-    if len(hits) != 1:
-        raise PresentationError(
-            f"generator {gen!r} occurs {len(hits)} times, need exactly 1")
-    (i, sign), = hits
+    runs = word.syllables()
+    count = sum(abs(exp) for name, exp in runs if name == gen)
+    if count != 1:
+        raise PresentationError(f"generator {gen!r} occurs {count} times, need exactly 1")
+    k = next(k for k, (name, _) in enumerate(runs) if name == gen)
+    i, sign = sum(abs(exp) for _, exp in runs[:k]), runs[k][1]
     vu = splice(word[i + 1:], word[:i])
     return ~vu if sign > 0 else vu
 
@@ -231,8 +231,8 @@ def solve_for(word: Word, gen: str) -> Word:
 
 def exponent_row(word: Word) -> dict[str, int]:
     row: dict[str, int] = {}
-    for (name, sign), count in Counter(word).items():
-        row[name] = row.get(name, 0) + sign * count
+    for name, exp in word.syllables():
+        row[name] = row.get(name, 0) + exp
     return {name: e for name, e in row.items() if e}
 
 
@@ -295,7 +295,7 @@ class AddGenerator(Move):
         _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
         _require(self, self.definition.generators() <= p._generator_set,
                  "definition uses undeclared generators")
-        return Delta({self.label: Word.generator(self.gen) * ~self.definition},
+        return Delta({self.label: splice(Word.generator(self.gen), ~self.definition)},
                      generators=p.generators + (self.gen,), longitude=longitude)
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:

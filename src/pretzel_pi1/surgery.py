@@ -29,7 +29,7 @@ from .orderability import (CLOSING_RULES, ENGINE_VERSION, RULES, BranchContext, 
                            Fact, Sign, cited_params, clash)
 from .presentations import Presentation
 from .report import Report
-from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness
+from .words import _MAX_RUN, Word, WordError, _run, parse_word, rotation_witness, splice
 
 MERIDIAN = PeripheralVector(1, 0)
 LONGITUDE = PeripheralVector(0, 1)
@@ -88,7 +88,7 @@ class BudgetExhausted(RuntimeError):
 
 def _transfer_args(ctx: BranchContext, word: Word, target: Word) -> dict:
     """Relator-rule args citing the relator copy that equates word and target."""
-    diff = ~target * word
+    diff = splice(~target, word)
     for tokens, core in ctx.cores.items():
         witness = rotation_witness(diff, core)
         if witness:

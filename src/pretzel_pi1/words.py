@@ -23,7 +23,7 @@ import re
 import struct
 import sys
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 GENERATOR_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][a-z0-9]*)(?:\^(-?\d+))?\Z")
@@ -77,7 +77,7 @@ def _splice_letters(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
 
 class Word:
     """A freely reduced word; the universal currency of the toolkit.  Only this
-    module reads the letter tuple; others use iteration, len, slices and views."""
+    module reads the letter tuple; others use len, slices, views and splice."""
 
     __slots__ = ("letters", "_generators")  # _generators: filled by generators()
 
@@ -116,22 +116,13 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    __iter__ = None  # not iterable, and no fallback to __getitem__(0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
         return hash(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
         return Word._reduced(tuple((name, -sign) for name, sign in reversed(self.letters)))
@@ -149,7 +140,7 @@ class Word:
         base = self if n > 0 else ~self
         out = base
         for _ in range(abs(n) - 1):
-            out = out * base
+            out = Word(out.letters + base.letters)
         return out
 
     def __repr__(self) -> str:
@@ -227,7 +218,7 @@ class Word:
         return Word(self.letters[k:] + self.letters[:k])
 
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
-        """Split off the conjugator: self == conj * core * ~conj."""
+        """Split off the conjugator: self == splice(conj, core.word, ~conj)."""
         letters, n = self.letters, len(self.letters)
         k = 0  # matching outer pairs
         while n - 2 * k >= 2 and letters[k][0] == letters[n - 1 - k][0] \

@@ -32,7 +32,7 @@ from pretzel_pi1.surgery import (
     verify_fact,
     verify_lemma_k,
 )
-from pretzel_pi1.words import CyclicWord, Word, palindrome_rotation, parse_word as W
+from pretzel_pi1.words import CyclicWord, Word, palindrome_rotation, parse_word as W, splice
 
 S_RANGE = range(3, 13)
 
@@ -96,8 +96,8 @@ def test_criterion_4_fact_identity():
         for s in S_RANGE:
             assert verify_fact(s).ok
             lhs = ~longitude_word(s)
-            rhs = (Word.from_syllables([("c", 2 * s + 9)]) * ~clasp_word(s)
-                   * Word.from_syllables([("c", 2 * s - 2)]))
+            rhs = splice(Word.from_syllables([("c", 2 * s + 9)]), ~clasp_word(s),
+                         Word.from_syllables([("c", 2 * s - 2)]))
             assert lhs == rhs
 
 

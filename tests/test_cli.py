@@ -283,18 +283,26 @@ def test_verify_trace_malformed_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, fmt):
     """JSON nested deeper than the parser recurses is unreadable JSON, as a
-    syntax error is: exit 2 and one line naming the file, not a RecursionError."""
-    texts = {f"nested_{n}.json": "[" * n + "]" * n for n in (1_000, 5_000, 100_000)}
+    syntax error is: exit 2 and one line naming the file, not a RecursionError.
+    So is a trace that is not JSON, or a trace or presentation not in UTF-8."""
+    nested = "JSON nested too deeply to read"
+    texts = {f"nested_{n}.json": ("[" * n + "]" * n, nested) for n in (1_000, 5_000, 100_000)}
     data = trace_to_json(run_pipeline(3).trace)
     data["start"] = "START"
-    texts["nested_start.json"] = json.dumps(data).replace('"START"', "[" * 1_000 + "]" * 1_000)
-    for name, text in texts.items():
+    texts["nested_start.json"] = (
+        json.dumps(data).replace('"START"', "[" * 1_000 + "]" * 1_000), nested)
+    texts["not_json.json"] = ("not json", "Expecting value: line 1 column 1 (char 0)")
+    latin1 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    texts["latin1.json"] = (b"\xff{}", latin1)
+    texts["latin1.txt"] = (b"\xffgens: c", latin1)
+    for name, (text, reason) in texts.items():
         path = tmp_path / name
-        path.write_text(text)
-        proc = run_cli("verify", "trace", str(path), "--format", fmt)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        command = ("abelianize",) if name.endswith(".txt") else ("verify", "trace")
+        proc = run_cli(*command, str(path), "--format", fmt)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr == f"error: {path}: JSON nested too deeply to read\n"
+        assert proc.stderr == f"error: {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

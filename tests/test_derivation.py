@@ -31,7 +31,7 @@ from pretzel_pi1.presentations import (
     trace_from_json,
     trace_to_json,
 )
-from pretzel_pi1.words import CyclicWord, Word, palindrome_rotation, parse_word as W
+from pretzel_pi1.words import CyclicWord, Word, palindrome_rotation, parse_word as W, splice
 
 
 def test_closed_form_R_examples():
@@ -49,9 +49,9 @@ def test_closed_form_R_examples():
 
 
 # -- product-built references ---------------------------------------------
-# The closed forms as they were first written: one Word product per factor
-# and Word powers for the repeated blocks, every step reduced by the Word
-# constructor.  derivation builds the same words from run lists.
+# The closed forms as they were first written: one splice per product of
+# factors and Word powers for the repeated blocks, each power reduced by the
+# Word constructor.  derivation builds the same words from run lists.
 
 def _letter(name, sign=1):
     return Word(((name, sign),))
@@ -65,7 +65,7 @@ def reference_descending_product(a, b, factor):
     assert a >= b - 1
     out = Word()
     for n in range(a, b - 1, -1):
-        out = out * factor(n)
+        out = splice(out, factor(n))
     return out
 
 
@@ -74,11 +74,11 @@ def reference_closed_form_R(i, s):
     a_inv = _letter("a", -1)
     if i % 2:
         x, y = derivation.strand_name(2 * j - 1, s), derivation.strand_name(2 * j, s)
-        head = (_letter(x, -1) * _letter(y, -1)) ** (j - 1)
-        return head * _letter(x, -1) * (_letter(y) * _letter(x)) ** j * a_inv
+        head = splice(_letter(x, -1), _letter(y, -1)) ** (j - 1)
+        return splice(head, _letter(x, -1), splice(_letter(y), _letter(x)) ** j, a_inv)
     x, y = derivation.strand_name(2 * j, s), derivation.strand_name(2 * j + 1, s)
-    head = (_letter(x, -1) * _letter(y, -1)) ** j
-    return head * _letter(x) * (_letter(y) * _letter(x)) ** j * a_inv
+    head = splice(_letter(x, -1), _letter(y, -1)) ** j
+    return splice(head, _letter(x), splice(_letter(y), _letter(x)) ** j, a_inv)
 
 
 def reference_fragments(i, s):
@@ -87,16 +87,17 @@ def reference_fragments(i, s):
     odd_run = reference_descending_product(s, j + 1, lambda n: _letter(name(2 * n - 1, s)))
     if i % 2:
         x, y = name(2 * j - 1, s), name(2 * j, s)
-        left = (odd_run * _letter_power(y, -(j - 1)) * _letter(x)
-                * (_letter(y) * _letter(x)) ** (j - 1))
-        right = (reference_descending_product(s - 1, j, lambda n: _letter(name(2 * n, s)))
-                 * _letter_power(x, -(j - 1)) * (_letter(y) * _letter(x)) ** (j - 1))
+        yx = splice(_letter(y), _letter(x))
+        left = splice(odd_run, _letter_power(y, -(j - 1)), _letter(x), yx ** (j - 1))
+        right = splice(reference_descending_product(s - 1, j, lambda n: _letter(name(2 * n, s))),
+                       _letter_power(x, -(j - 1)), yx ** (j - 1))
     else:
         x, y = name(2 * j, s), name(2 * j + 1, s)
-        left = odd_run * _letter_power(x, -j) * (_letter(y) * _letter(x)) ** j
-        right = (reference_descending_product(s - 1, j + 1, lambda n: _letter(name(2 * n, s)))
-                 * _letter_power(y, -(j - 1)) * _letter(x)
-                 * (_letter(y) * _letter(x)) ** (j - 1))
+        yx = splice(_letter(y), _letter(x))
+        left = splice(odd_run, _letter_power(x, -j), yx ** j)
+        right = splice(reference_descending_product(s - 1, j + 1,
+                                                    lambda n: _letter(name(2 * n, s))),
+                       _letter_power(y, -(j - 1)), _letter(x), yx ** (j - 1))
     return left, right
 
 
@@ -105,21 +106,21 @@ def reference_longitude(i, s):
     if i == 2 * s:
         return reference_terminal_longitude(s)
     left, right = reference_fragments(i, s)
-    return W("a f c") * left * W("c g") * right * W("a e") * _letter_power("c", -(2 * s + 6))
+    return splice(W("a f c"), left, W("c g"), right, W("a e"), _letter_power("c", -(2 * s + 6)))
 
 
 def reference_terminal_longitude(s):
-    bg = _letter("b") * _letter("g")
-    return (W("a f c") * _letter_power("g", -s) * bg ** s
-            * _letter("c") * _letter_power("b", -(s - 1)) * _letter("g") * bg ** (s - 1)
-            * W("a e") * _letter_power("c", -(2 * s + 6)))
+    bg = splice(_letter("b"), _letter("g"))
+    return splice(W("a f c"), _letter_power("g", -s), bg ** s,
+                  _letter("c"), _letter_power("b", -(s - 1)), _letter("g"), bg ** (s - 1),
+                  W("a e"), _letter_power("c", -(2 * s + 6)))
 
 
 def reference_expected_l12(s):
     bracket = W("L c l c L C")
-    return (_letter_power("c", -(s - 1)) * _letter("l") * _letter("c") * _letter_power("l", s)
-            * bracket ** (s - 1) * W("L c l c") * _letter_power("l", s - 1) * W("c l")
-            * _letter_power("c", -(2 * s + 8)))
+    return splice(_letter_power("c", -(s - 1)), _letter("l"), _letter("c"), _letter_power("l", s),
+                  bracket ** (s - 1), W("L c l c"), _letter_power("l", s - 1), W("c l"),
+                  _letter_power("c", -(2 * s + 8)))
 
 
 @pytest.mark.parametrize("s", range(3, 13))
@@ -152,7 +153,7 @@ def test_R_induction_negative_control(monkeypatch):
     def perturbed(i, s):
         word = closed_form_R(i, s)
         if i == 2:
-            return word * W("c")
+            return splice(word, W("c"))
         return word
 
     monkeypatch.setattr(derivation, "closed_form_R", perturbed)
@@ -165,7 +166,7 @@ def test_L_induction_negative_control(monkeypatch):
     def botched(i, s):
         # one letter too many at j = 1
         word = closed_form_L(i, s)
-        return word * W("f2") if i <= 2 else word
+        return splice(word, W("f2")) if i <= 2 else word
 
     monkeypatch.setattr(derivation, "closed_form_L", botched)
     report = verify_L_induction(3)
@@ -309,7 +310,7 @@ def test_pipeline_trace_replays_with_abelian_checks(s):
 def test_trace_negative_control():
     result = run_pipeline(3)
     bad_end = dataclasses.replace(
-        result.trace.end, relators=(("r_inf", final_relator(3) * W("c")),))
+        result.trace.end, relators=(("r_inf", splice(final_relator(3), W("c"))),))
     report = replay_trace(
         type(result.trace)(result.trace.start, result.trace.moves, bad_end,
                            result.trace.longitude_start, result.trace.longitude_end))
@@ -331,7 +332,7 @@ def test_simplified_longitude_s3():
     assert replay.longitude == W("c^-4 l c l^3 c l^3 c l c^-15")
     assert len(moves) == 3  # one tail rewrite + s-1 bracket unfoldings
     with pytest.raises(DerivationError):
-        simplify_longitude(3, result.longitude * W("c"))
+        simplify_longitude(3, splice(result.longitude, W("c")))
 
 
 @pytest.mark.parametrize("s", range(3, 13))
@@ -340,7 +341,7 @@ def test_longitude_simplification_and_homology(s):
     assert trace.longitude_end == longitude_word(s)
     p = knot_group_presentation(s)
     assert dense_null_homologous(p, longitude_word(s))
-    assert dense_null_homologous(p, ~longitude_word(s) * expected_l12(s))
+    assert dense_null_homologous(p, splice(~longitude_word(s), expected_l12(s)))
 
 
 @pytest.mark.parametrize("s", [3, 6])
@@ -390,7 +391,7 @@ def test_the_end_longitude_is_the_closed_form_not_the_stepper(monkeypatch):
 def test_the_end_presentation_is_the_closed_form_not_the_stepper(monkeypatch):
     """With a changed closed-form relator, the stepped presentation no longer
     matches the end of the trace, and only the end presentation check fails."""
-    changed = Presentation(("c", "l"), (("r_inf", final_relator(3) * W("c")),))
+    changed = Presentation(("c", "l"), (("r_inf", splice(final_relator(3), W("c"))),))
     monkeypatch.setattr(derivation, "knot_group_presentation", lambda s: changed)
     result = run_pipeline(3)
     assert result.trace.end == changed
@@ -404,7 +405,7 @@ def _corrupted(move):
     if isinstance(move, AddGenerator):
         return dataclasses.replace(move, gen="c")  # c is never eliminated
     if isinstance(move, RewriteLongitude) and move.steps is None:  # the v1 form
-        return dataclasses.replace(move, new_word=move.new_word * W("c"))
+        return dataclasses.replace(move, new_word=splice(move.new_word, W("c")))
     if isinstance(move, RewriteLongitude):
         (step,) = move.steps
         return dataclasses.replace(move, steps=(dataclasses.replace(step, relator="nope"),))

@@ -25,7 +25,7 @@ from pretzel_pi1.surgery import (
     _transfer_args,
     nlo_search,
 )
-from pretzel_pi1.words import CyclicWord, Word, parse_word as W, rotation_witness
+from pretzel_pi1.words import CyclicWord, Word, parse_word as W, rotation_witness, splice
 
 names = st.sampled_from(["c", "l"])
 letters = st.tuples(names, st.sampled_from([1, -1]))
@@ -67,7 +67,7 @@ def saturate(state: Branch, relators: tuple[Word, ...] = (),
             for x in ball:
                 emit("conjugate", (idx,), {"conjugator": x})
             for rot in rotations:
-                target = rot * word
+                target = splice(rot, word)
                 emit("relator", (idx,), _transfer_args(state.ctx, word, target),
                      (target, None))
     except (Contradiction, BudgetExhausted):
@@ -76,24 +76,24 @@ def saturate(state: Branch, relators: tuple[Word, ...] = (),
 
 
 def test_pointwise_compare_examples():
-    # x.u > x.v everywhere iff ~v * u is Positive
-    assert ~Word() * W("l") == W("l")
-    got = ~W("c^2") * W("l c l^3 c")
+    # x.u > x.v everywhere iff ~v u is Positive
+    assert splice(~Word(), W("l")) == W("l")
+    got = splice(~W("c^2"), W("l c l^3 c"))
     assert got == W("c^-2 l c l^3 c")
     w = W("c l C")
-    assert ~w * w == Word()
+    assert splice(~w, w) == Word()
 
 
 @settings(max_examples=80, deadline=None)
 @given(words, words)
 def test_compare_antisymmetry(u, v):
-    assert ~v * u == ~(~u * v)
+    assert splice(~v, u) == ~splice(~u, v)
 
 
 def test_rotation_consequence_examples():
     relator = CyclicWord(final_relator(3))
     # the traded comparison identity: clcl^{s-1}clc = lcl^scl
-    diff = ~W("l c l^3 c l") * W("c l c l^2 c l c")
+    diff = splice(~W("l c l^3 c l"), W("c l c l^2 c l c"))
     assert rotation_witness(diff, relator) is not None
     assert rotation_witness(final_relator(3), relator) == {
         "inverted": False, "rotation": 0, "conjugator": Word()}
@@ -174,8 +174,8 @@ def test_knot_group_positivity_never_contradicts():
     state = saturate(branch, relators=(relator,), generators=("c", "l"))
     assert state.outcome != "contradiction"
     for key, (sign, _) in state.signs.items():
-        translation = sum(s for n, s in key if n == "c") \
-            + 2 * sum(s for n, s in key if n == "l")
+        translation = sum(s for n, s in key.letters if n == "c") \
+            + 2 * sum(s for n, s in key.letters if n == "l")
         if sign is Sign.POSITIVE:
             assert translation > 0
         elif sign is Sign.NEGATIVE:

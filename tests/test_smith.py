@@ -13,7 +13,7 @@ from pretzel_pi1.words import parse_word as W
 
 def exponent_sum(word, name):
     """The oracle: the signed count of name's letters in word."""
-    return sum(sign for gen, sign in word if gen == name)
+    return sum(sign for gen, sign in word.letters if gen == name)
 
 
 def dense_invariants(matrix, n):

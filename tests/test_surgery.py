@@ -15,7 +15,7 @@ from pretzel_pi1.knot import (
     parse_slope,
 )
 from pretzel_pi1.surgery import surgered_presentation, verify_fact, verify_lemma_k
-from pretzel_pi1.words import Word, parse_word as W
+from pretzel_pi1.words import Word, parse_word as W, splice
 
 
 def coprime_slopes(max_p=500, max_q=50):
@@ -87,7 +87,7 @@ def test_surgered_presentation_s3_19():
     p = surgered_presentation(3, Slope(19, 1))
     assert p.generators == ("c", "l")
     assert len(p.relators) == 2
-    expected = Word.from_syllables([("c", 19)]) * longitude_word(3)
+    expected = splice(Word.from_syllables([("c", 19)]), longitude_word(3))
     assert p.relator("fill") == expected
     assert p.abelian_invariants() == (19,)
 

@@ -43,7 +43,7 @@ def test_invert_examples():
 
 
 def test_mul_and_pow():
-    assert W("c") * W("C l") == W("l")
+    assert splice(W("c"), W("C l")) == W("l")
     assert W("c l") ** 2 == W("c l c l")
     assert W("c") ** -3 == W("c^-3")
     assert W("c l") ** 0 == Word()
@@ -58,7 +58,7 @@ def test_cyclic_reduce():
     # conjugation identity
     w = W("c l C c L C")
     core3, conj3 = w.cyclic_reduce()
-    assert conj3 * core3.word * ~conj3 == w
+    assert splice(conj3, core3.word, ~conj3) == w
 
 
 def test_step12_relator_rotates_to_final_form():
@@ -83,16 +83,16 @@ def test_substitute_identity():
 
 def exponent_sum(word, name):
     """The oracle: the signed count of name's letters in word."""
-    return sum(sign for gen, sign in word if gen == name)
+    return sum(sign for gen, sign in word.letters if gen == name)
 
 
 def test_exponent_sums_on_relator_and_longitude():
     for s in range(3, 13):
-        relator = W("c l c L C") * W("l") ** -s * W("C L c l c") * W("l") ** (s - 1)
+        relator = splice(W("c l c L C"), W("l") ** -s, W("C L c l c"), W("l") ** (s - 1))
         assert exponent_sum(relator, "c") == 2
         assert exponent_sum(relator, "l") == -1
-        longitude = (W("c") ** -(2 * s - 2) * W("l c") * W("l") ** s * W("c")
-                     * W("l") ** s * W("c l") * W("c") ** -(2 * s + 9))
+        longitude = splice(W("c") ** -(2 * s - 2), W("l c"), W("l") ** s, W("c"),
+                           W("l") ** s, W("c l"), W("c") ** -(2 * s + 9))
         assert exponent_sum(longitude, "c") == -4 * s - 4
         assert exponent_sum(longitude, "l") == 2 * s + 2
     assert exponent_sum(Word(), "g") == 0
@@ -144,8 +144,8 @@ def test_reduce_idempotent(w):
 
 @given(words)
 def test_word_times_inverse_is_trivial(w):
-    assert w * ~w == Word()
-    assert ~w * w == Word()
+    assert splice(w, ~w) == Word()
+    assert splice(~w, w) == Word()
 
 
 @given(words)
@@ -156,12 +156,12 @@ def test_invert_is_involution(w):
 @given(words, st.integers(min_value=0, max_value=5))
 def test_negative_powers_are_inverse_powers(w, n):
     assert w ** -n == ~(w ** n)
-    assert w ** n * w ** -n == Word()
+    assert splice(w ** n, w ** -n) == Word()
 
 
 @given(words, words, names)
 def test_exponent_sum_additive(u, v, g):
-    assert exponent_sum(u * v, g) == exponent_sum(u, g) + exponent_sum(v, g)
+    assert exponent_sum(splice(u, v), g) == exponent_sum(u, g) + exponent_sum(v, g)
 
 
 @given(st.lists(letters, max_size=30), names, words)
@@ -250,7 +250,7 @@ def test_the_token_memo_holds_counts_not_letters():
 @given(words)
 def test_cyclic_reduce_invariants(w):
     core, conj = w.cyclic_reduce()
-    assert conj * core.word * ~conj == w
+    assert splice(conj, core.word, ~conj) == w
     letters = core.word.letters
     if letters:
         assert not (letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1])
