@@ -144,7 +144,7 @@ def _cmd_h1(args):
 def _cmd_abelianize(args):
     try:
         presentation = Presentation.from_text(Path(args.file).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:  # bytes that are not UTF-8
+    except ValueError as exc:  # not UTF-8, or not a presentation
         raise ValueError(f"{args.file}: {exc}") from None
     invariants = presentation.abelian_invariants()
     return (EXIT_PASS, lambda: _doc("abelianize", file=args.file, invariants=list(invariants)),

@@ -194,7 +194,7 @@ class Presentation:
         generators: tuple[str, ...] = ()
         relators: list[tuple[str, Word]] = []
         saw_gens = False
-        for raw in text.splitlines():
+        for n, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -203,9 +203,9 @@ class Presentation:
                 saw_gens = True
             elif line.startswith("rel "):
                 head, _, body = line[len("rel "):].partition(":")
-                relators.append((head.strip(), parse_word(body.strip())))
+                relators.append((head.strip(), _decoded(f"line {n}", parse_word, body.strip())))
             else:
-                raise PresentationError(f"unparseable line: {raw!r}")
+                raise PresentationError(f"line {n}: unparseable line: {raw!r}")
         if not saw_gens:
             raise PresentationError("missing 'gens:' line")
         return Presentation(generators, tuple(relators))

@@ -53,13 +53,14 @@ def is_generator_name(name: str) -> bool:
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for name, sign in letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+    stack: list[Letter] = [("", 0)]  # a bottom that no letter cancels
+    for letter in letters:
+        top = stack[-1]
+        if top[1] == -letter[1] and top[0] == letter[0]:
             stack.pop()
         else:
-            stack.append((name, sign))
-    return tuple(stack)
+            stack.append(letter)
+    return tuple(stack[1:])
 
 
 def _splice_letters(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
@@ -211,11 +212,10 @@ class Word:
         return Word._reduced(_splice_letters(pieces))
 
     def rotated(self, k: int) -> "Word":
-        """Left rotation by k letters, reduced (a conjugate of self)."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
+        """Left rotation by k letters, reduced (a conjugate of self).  Both
+        slices are reduced, so only the seam where the ends meet can cancel."""
+        k %= len(self.letters) or 1
+        return splice(self[k:], self[:k])
 
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
         """Split off the conjugator: self == splice(conj, core.word, ~conj)."""

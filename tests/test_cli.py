@@ -284,7 +284,8 @@ def test_verify_trace_malformed_is_a_usage_error(tmp_path):
 def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, fmt):
     """JSON nested deeper than the parser recurses is unreadable JSON, as a
     syntax error is: exit 2 and one line naming the file, not a RecursionError.
-    So is a trace that is not JSON, or a trace or presentation not in UTF-8."""
+    So is a trace that is not JSON, or a trace or presentation not in UTF-8.
+    So is a malformed presentation, which also names the line at fault."""
     nested = "JSON nested too deeply to read"
     texts = {f"nested_{n}.json": ("[" * n + "]" * n, nested) for n in (1_000, 5_000, 100_000)}
     data = trace_to_json(run_pipeline(3).trace)
@@ -295,6 +296,10 @@ def test_verify_trace_nested_past_the_recursion_limit_is_a_usage_error(tmp_path,
     latin1 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     texts["latin1.json"] = (b"\xff{}", latin1)
     texts["latin1.txt"] = (b"\xffgens: c", latin1)
+    texts["unparseable.txt"] = ("gens: c\nfoo bar\n", "line 2: unparseable line: 'foo bar'")
+    texts["zero_exponent.txt"] = ("gens: c\n# r\nrel r: c^0\n",
+                                  "line 3: zero exponent in token: 'c^0'")
+    texts["no_gens.txt"] = ("rel r: c\n", "missing 'gens:' line")
     for name, (text, reason) in texts.items():
         path = tmp_path / name
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -262,7 +262,8 @@ def test_cyclic_reduce_invariants(w):
 # each path must give what reducing the whole raw letter sequence gives.
 
 names3 = st.sampled_from(["a", "b", "c"])
-raw3 = st.lists(st.tuples(names3, st.sampled_from([1, -1])), max_size=24)
+letter3 = st.tuples(names3, st.sampled_from([1, -1]))
+raw3 = st.lists(letter3, max_size=24)
 words3 = raw3.map(Word)
 cyclic3 = words3.map(lambda w: w.cyclic_reduce()[0])
 
@@ -283,6 +284,48 @@ def rotation_by_rotating(cyclic, other):
         if cyclic.word.rotated(k) == other:
             return k
     return None
+
+
+def reference_reduce(letters):
+    """The plain stack reducer that _reduce_letters, the oracle above, must
+    agree with: it builds a new tuple per letter and has no bottom letter."""
+    stack: list[tuple[str, int]] = []
+    for name, sign in letters:
+        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((name, sign))
+    return tuple(stack)
+
+
+# Long runs of one letter, nested u U cancellations and plain letters, cut at 200.
+raw_pieces = st.one_of(
+    st.builds(lambda letter, n: [letter] * n, letter3, st.integers(1, 40)),
+    raw3.map(lambda raw: raw + list(inverse_letters(raw))),
+    raw3)
+raw_long = st.lists(raw_pieces, max_size=12).map(lambda pieces: sum(pieces, [])[:200])
+
+
+@example([("a", 1)] * 30 + [("b", 1), ("b", -1)] + [("a", -1)] * 30)
+@given(raw_long)
+def test_reducer_matches_the_reference(raw):
+    assert _reduce_letters(raw) == reference_reduce(raw)
+
+
+@example(W("a b A c^5"))
+@given(raw_long.map(Word))
+def test_reducing_a_reduced_tuple_keeps_its_letter_objects(w):
+    out = _reduce_letters(w.letters)
+    assert out == w.letters and all(a is b for a, b in zip(out, w.letters))
+
+
+@given(words3, st.data())
+def test_rotated_matches_the_reference(w, data):
+    n = len(w)
+    k = data.draw(st.integers(min_value=-2 * n, max_value=2 * n))
+    i = k % (n or 1)
+    assert w.rotated(k).letters == reference_reduce(w.letters[i:] + w.letters[:i])
+    assert Word().rotated(k) == Word()
 
 
 @given(st.lists(words3, max_size=5))
