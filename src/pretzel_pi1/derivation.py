@@ -45,6 +45,7 @@ from .presentations import (
     RewriteRelator,
     RotateRelator,
     SubstituteEverywhere,
+    apply_move,
     solve_for,
 )
 from .report import Check, Report
@@ -125,7 +126,7 @@ def tunnel_moves(s: int) -> tuple:
 def tunnel_collapse(s: int) -> Presentation:
     p = wirtinger_presentation(s)
     for move in tunnel_moves(s):
-        p = move.apply(p)
+        p = apply_move(p, move)[0]
     return replace(p, provenance=f"tunnel s={s}")
 
 

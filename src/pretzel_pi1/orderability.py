@@ -80,7 +80,7 @@ def cited_params(s: int, slope: Slope) -> dict:
 class BranchContext:
     """What a rule may read besides its premises and args.
 
-    Relator cores and H1 are computed at most once per context.
+    Relator cores are computed at most once per context; H1 costs constant time.
     """
     relators: tuple[Word, ...] = ()
     s: Optional[int] = None
@@ -92,7 +92,7 @@ class BranchContext:
         """The cyclic core of each relator, keyed by the relator's tokens."""
         return {r.tokens(): r.cyclic_reduce()[0] for r in self.relators}
 
-    @cached_property
+    @property
     def h1(self) -> int:
         return h1_order(self.s, self.slope)
 

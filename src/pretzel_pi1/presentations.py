@@ -53,23 +53,23 @@ def _inserted(move, word: Word, steps, p: Presentation, own: Optional[str] = Non
 @dataclass
 class Delta:
     """What a move changes: the words it sets by label (a new label goes last),
-    the labels it drops, a label it renames as (old, new), the new generator
-    list (None: unchanged) and the longitude after it, which is not compared."""
+    the labels it drops, a label it renames as (old, new), and the generators
+    and longitude after it if it changes them; the longitude is not compared."""
     words: Optional[dict] = field(default_factory=dict)
     dropped: tuple[str, ...] = ()
     renamed: Optional[tuple[str, str]] = None
     generators: Optional[tuple[str, ...]] = None
     longitude: Optional[Word] = field(default=None, compare=False)
 
-    def apply_to(self, table: dict, values: dict) -> dict:
+    def apply_to(self, table: dict) -> dict:
         """A copy of table, a dict by relator label in relator order, with the
-        labels this delta renames and drops renamed and dropped and values set."""
+        labels this delta renames and drops renamed and dropped and its words set."""
         old, new = self.renamed or (None, None)
         out = dict(table) if old is None else {new if label == old else label: value
                                                for label, value in table.items()}
         for label in self.dropped:
             out.pop(label, None)
-        out.update(values)
+        out.update(self.words)
         return out
 
 
@@ -134,7 +134,7 @@ class Presentation:
         for label, word in delta.words.items():
             self._declared(label if label in self._words else self._new_label(label),
                            word, declared)
-        words = delta.apply_to(self._words, delta.words)
+        words = delta.apply_to(self._words)
         if delta.generators is not None:
             removed = self._generator_set - declared
             for label, word in words.items():
@@ -269,17 +269,16 @@ class Insertion:
                       word[self.position:])
 
 
+@dataclass(frozen=True)
 class Move:
     """A Tietze move.  delta(p, longitude) checks the move's side condition
-    and returns the Delta it makes.  shadow(p, rows) is that Delta in exponent
-    rows, read off rows, those of p by label; a row or words of None match
-    nothing.  No shadow changes H1: it adds to a row a multiple of another
-    row that stays, eliminates a generator with a +-1 pivot, adds one with a
-    +-1 in its one row, drops an empty or a duplicate row, or negates, keeps
-    or relabels a row."""
-
-    def apply(self, p: Presentation) -> Presentation:
-        return p.moved(self.delta(p, None))
+    and returns the Delta it makes, with the longitude if it changes it.
+    shadow(p, rows) is that Delta in exponent rows, read off rows, those of
+    p by label; a row or words of None match nothing.  No shadow changes H1:
+    it adds to a row a multiple of another row that stays, eliminates a
+    generator with a +-1 pivot, adds one with a +-1 in its one row, drops an
+    empty or a duplicate row, or negates, keeps or relabels a row."""
+    macro: Optional[str] = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,6 @@ class AddGenerator(Move):
     gen: str
     definition: Word
     label: str
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, is_generator_name(self.gen), f"bad generator name {self.gen!r}")
@@ -296,7 +294,7 @@ class AddGenerator(Move):
         _require(self, self.definition.generators() <= p._generator_set,
                  "definition uses undeclared generators")
         return Delta({self.label: splice(Word.generator(self.gen), ~self.definition)},
-                     generators=p.generators + (self.gen,), longitude=longitude)
+                     generators=p.generators + (self.gen,))
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         row = row_plus({self.gen: 1}, exponent_row(self.definition), -1)
@@ -309,7 +307,6 @@ class AddGenerator(Move):
 class RemoveGenerator(Move):
     gen: str
     via: str
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         replacement = _checked(self, lambda: solve_for(p.relator(self.via), self.gen))
@@ -337,7 +334,6 @@ class SubstituteEverywhere(Move):
     by: Word
     justified_by: str
     only_in: Optional[tuple[str, ...]] = None
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         solved = _checked(self, lambda: solve_for(p.relator(self.justified_by), self.gen))
@@ -349,7 +345,7 @@ class SubstituteEverywhere(Move):
                  "cannot rewrite the justifying relator")
         targets = self._targets(p)
         return Delta({label: word.substitute(self.gen, self.by)
-                      for label, word in p.relators if label in targets}, longitude=longitude)
+                      for label, word in p.relators if label in targets})
 
     def _targets(self, p: Presentation) -> set[str]:
         targets = p.labels_with(self.gen) - {self.justified_by}
@@ -369,7 +365,6 @@ class AddRelator(Move):
     label: str
     word: Word
     derivation: tuple[Insertion, ...]
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, not p.has_relator(self.label), f"label {self.label!r} already present")
@@ -377,7 +372,7 @@ class AddRelator(Move):
                  "relator uses undeclared generators")
         derived = _inserted(self, Word(), self.derivation, p)
         _require(self, derived == self.word, f"derivation yields {derived}, declared {self.word}")
-        return Delta({self.label: self.word}, longitude=longitude)
+        return Delta({self.label: self.word})
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         # a rewrite of the empty relator under a new label
@@ -394,12 +389,10 @@ class RewriteRelator(Move):
     """
     label: str
     steps: tuple[Insertion, ...]
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
-        return Delta({self.label: _inserted(self, word, self.steps, p, self.label)},
-                     longitude=longitude)
+        return Delta({self.label: _inserted(self, word, self.steps, p, self.label)})
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         row = rows.get(self.label)
@@ -414,7 +407,6 @@ class RemoveRelator(Move):
     """Drop a relator that is trivial or duplicates another one."""
     label: str
     duplicate_of: Optional[str] = None
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
@@ -424,7 +416,7 @@ class RemoveRelator(Move):
             _require(self, self.duplicate_of != self.label, "relator cannot duplicate itself")
             _require(self, _checked(self, p.relator, self.duplicate_of) == word,
                      f"{self.label} and {self.duplicate_of} differ")
-        return Delta(dropped=(self.label,), longitude=longitude)
+        return Delta(dropped=(self.label,))
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         row = rows.get(self.label)
@@ -436,11 +428,10 @@ class RemoveRelator(Move):
 class RotateRelator(Move):
     label: str
     k: int
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         word = _checked(self, p.relator, self.label)
-        return Delta({self.label: word.rotated(self.k)}, longitude=longitude)
+        return Delta({self.label: word.rotated(self.k)})
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         return Delta({self.label: rows.get(self.label)})
@@ -449,10 +440,9 @@ class RotateRelator(Move):
 @dataclass(frozen=True)
 class InvertRelator(Move):
     label: str
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
-        return Delta({self.label: ~_checked(self, p.relator, self.label)}, longitude=longitude)
+        return Delta({self.label: ~_checked(self, p.relator, self.label)})
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         return Delta({self.label: row_plus({}, rows.get(self.label), -1)})
@@ -462,12 +452,11 @@ class InvertRelator(Move):
 class RelabelRelator(Move):
     old: str
     new: str
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, p.has_relator(self.old), f"no relator labeled {self.old!r}")
         _require(self, not p.has_relator(self.new), f"label {self.new!r} already present")
-        return Delta(renamed=(self.old, self.new), longitude=longitude)
+        return Delta(renamed=(self.old, self.new))
 
     def shadow(self, p: Presentation, rows: dict) -> Delta:
         return Delta(renamed=(self.old, self.new))  # moved checks that new is free
@@ -485,7 +474,6 @@ class RewriteLongitude(Move):
     steps: Optional[tuple[Insertion, ...]] = None
     new_word: Optional[Word] = None
     via: Optional[str] = None
-    macro: Optional[str] = None
 
     def delta(self, p: Presentation, longitude: Optional[Word]) -> Delta:
         _require(self, longitude is not None, "no longitude is being tracked")
@@ -517,6 +505,8 @@ def apply_move(p: Presentation, move: Move,
                longitude: Optional[Word] = None) -> tuple[Presentation, Delta]:
     """The presentation move makes of p, and its Delta, with the longitude after it."""
     delta = move.delta(p, longitude)
+    if delta.longitude is None:
+        delta.longitude = longitude
     return p.moved(delta), delta
 
 
@@ -527,7 +517,7 @@ def _moved_rows(move: Move, p: Presentation, delta: Delta, rows: dict) -> Option
     if shadow != Delta({label: exponent_row(word) for label, word in delta.words.items()},
                        delta.dropped, delta.renamed, delta.generators):
         return None
-    return shadow.apply_to(rows, shadow.words)
+    return shadow.apply_to(rows)
 
 
 class Replay:
@@ -539,7 +529,6 @@ class Replay:
                  check_abelian: bool = False):
         self.presentation, self.longitude = start, longitude
         self.report = Report("trace replay")
-        self.check_abelian = check_abelian
         self.invariants = start.abelian_invariants() if check_abelian else None
         self.rows = _rows(start) if check_abelian else None
 
@@ -559,7 +548,7 @@ class Replay:
                               "presentation", i, f"move {i} broke the longitude")
         # the same presentation, or rows that match the shadow, keep H1; else recompute it
         now = self.invariants
-        if self.check_abelian and q is not p:
+        if self.rows is not None and q is not p:
             self.rows = _moved_rows(move, p, delta, self.rows)
             if self.rows is None:
                 now, self.rows = q.abelian_invariants(), _rows(q)

@@ -25,7 +25,8 @@ from pretzel_pi1.knot import (
     longitude_word,
 )
 from pretzel_pi1.orderability import Sign, replay_certificate
-from pretzel_pi1.presentations import DerivationTrace, SideConditionViolated, replay_trace
+from pretzel_pi1.presentations import (DerivationTrace, SideConditionViolated, apply_move,
+                                       replay_trace)
 from pretzel_pi1.surgery import (
     Branch,
     nlo_search,
@@ -168,7 +169,7 @@ def test_criterion_8_soundness_controls():
                 if move is None:
                     continue
                 try:
-                    p = move.apply(p)
+                    p = apply_move(p, move)[0]
                 except SideConditionViolated:
                     continue
                 assert p.abelian_invariants() == baseline

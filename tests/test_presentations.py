@@ -6,7 +6,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -180,18 +180,18 @@ BASE = Presentation(
 
 
 def test_add_then_remove_generator_is_identity():
-    added = AddGenerator("z", W("a b"), "rz").apply(BASE)
+    added = apply_move(BASE, AddGenerator("z", W("a b"), "rz"))[0]
     assert added.generators == ("a", "b", "z")
     assert added.relator("rz") == W("z B A")
-    back = RemoveGenerator("z", "rz").apply(added)
+    back = apply_move(added, RemoveGenerator("z", "rz"))[0]
     assert back == BASE
 
 
 def test_remove_generator_requires_single_occurrence():
     with pytest.raises(SideConditionViolated):
-        RemoveGenerator("a", "r1").apply(BASE)  # a occurs twice in r1
+        apply_move(BASE, RemoveGenerator("a", "r1"))[0]  # a occurs twice in r1
     with pytest.raises(SideConditionViolated):
-        RemoveGenerator("a", "r2").apply(BASE)  # three times in r2
+        apply_move(BASE, RemoveGenerator("a", "r2"))[0]  # three times in r2
     # an absent generator fails the solve, with or without a tracked longitude
     for longitude in (None, W("a b")):
         with pytest.raises(SideConditionViolated,
@@ -227,33 +227,33 @@ def test_moved_checks_what_the_delta_names():
 def test_substitute_everywhere_checks_justification():
     p = Presentation(("a", "b", "z"),
                      (("rz", W("z B A")), ("r1", W("a b A B")), ("r2", W("a^3"))))
-    q = SubstituteEverywhere("z", W("a b"), "rz", only_in=("r1",)).apply(p)
+    q = apply_move(p, SubstituteEverywhere("z", W("a b"), "rz", only_in=("r1",)))[0]
     assert q.relator("r1") == W("a b A B")  # z does not occur; unchanged
     with pytest.raises(SideConditionViolated):
-        SubstituteEverywhere("z", W("b a"), "rz").apply(p)  # wrong word
+        apply_move(p, SubstituteEverywhere("z", W("b a"), "rz"))[0]  # wrong word
     with pytest.raises(SideConditionViolated):
-        SubstituteEverywhere("z", W("a b"), "rz", only_in=("rz",)).apply(p)
+        apply_move(p, SubstituteEverywhere("z", W("a b"), "rz", only_in=("rz",)))[0]
 
 
 def test_add_relator_with_derivation():
     # conjugate of r2 by b, placed at 0
     ins = Insertion("r2", False, W("b"), 0)
-    derived = AddRelator("r3", W("b a^3 B"), (ins,)).apply(BASE)
+    derived = apply_move(BASE, AddRelator("r3", W("b a^3 B"), (ins,)))[0]
     assert derived.relator("r3") == W("b a^3 B")
     with pytest.raises(SideConditionViolated):
-        AddRelator("r4", W("b a^2 B"), (ins,)).apply(BASE)
+        apply_move(BASE, AddRelator("r4", W("b a^2 B"), (ins,)))[0]
 
 
 def test_rewrite_relator_and_rotation():
     # rewrite r1 by inserting r2^{-1} at position 0: a^-3 a b A B -> a^-2 b A B
     step = Insertion("r2", True, Word(), 0)
-    p = RewriteRelator("r1", (step,)).apply(BASE)
+    p = apply_move(BASE, RewriteRelator("r1", (step,)))[0]
     assert p.relator("r1") == W("a^-2 b A B")
-    rot = RotateRelator("r1", 2).apply(p)
+    rot = apply_move(p, RotateRelator("r1", 2))[0]
     assert rot.relator("r1") == W("b A B a^-2")
-    assert RotateRelator("r1", 0).apply(p) == p
+    assert apply_move(p, RotateRelator("r1", 0))[0] == p
     with pytest.raises(SideConditionViolated, match="cannot be justified by the relator"):
-        RewriteRelator("r1", (Insertion("r1", False, Word(), 0),)).apply(BASE)
+        apply_move(BASE, RewriteRelator("r1", (Insertion("r1", False, Word(), 0),)))[0]
 
 
 def test_rewrite_longitude_forms():
@@ -277,21 +277,66 @@ def test_rewrite_longitude_forms():
 
 def test_remove_relator_variants():
     p = Presentation(("a",), (("r1", W("a A")), ("r2", W("a")), ("r3", W("a"))))
-    q = RemoveRelator("r1").apply(p)  # empty word
+    q = apply_move(p, RemoveRelator("r1"))[0]  # empty word
     assert q.labels() == ["r2", "r3"]
-    q2 = RemoveRelator("r3", duplicate_of="r2").apply(q)
+    q2 = apply_move(q, RemoveRelator("r3", duplicate_of="r2"))[0]
     assert q2.labels() == ["r2"]
     with pytest.raises(SideConditionViolated):
-        RemoveRelator("r2").apply(q2)
+        apply_move(q2, RemoveRelator("r2"))[0]
 
 
 def test_invert_and_relabel():
-    p = InvertRelator("r2").apply(BASE)
+    p = apply_move(BASE, InvertRelator("r2"))[0]
     assert p.relator("r2") == W("a^-3")
-    q = RelabelRelator("r2", "r9").apply(p)
+    q = apply_move(p, RelabelRelator("r2", "r9"))[0]
     assert q.has_relator("r9") and not q.has_relator("r2")
     with pytest.raises(SideConditionViolated):
-        RelabelRelator("r9", "r1").apply(q)
+        apply_move(q, RelabelRelator("r9", "r1"))[0]
+
+
+# a presentation on which each move kind applies, and a longitude it tracks
+LONGITUDE_BASE = Presentation(("a", "b", "z"), (
+    ("rz", W("z B A")), ("r1", W("a b A B")), ("r2", W("a^3")), ("r3", W("z a Z")),
+    ("r5", W("a^3"))))
+KEEPS_THE_LONGITUDE = (
+    AddGenerator("y", W("a b"), "ry"),
+    SubstituteEverywhere("z", W("a b"), "rz"),
+    AddRelator("r4", W("a^3"), (Insertion("r2", False, Word(), 0),)),
+    RewriteRelator("r1", (Insertion("r2", True, Word(), 0),)),
+    RemoveRelator("r5", duplicate_of="r2"),
+    RotateRelator("r1", 1),
+    InvertRelator("r2"),
+    RelabelRelator("r2", "r9"),
+)
+
+
+@pytest.mark.parametrize("move", KEEPS_THE_LONGITUDE, ids=lambda move: type(move).__name__)
+def test_a_delta_leaves_out_a_longitude_its_move_keeps(move):
+    """Only apply_move carries a kept longitude over, and only if one is tracked."""
+    p, lon = LONGITUDE_BASE, W("z b")
+    assert move.delta(p, lon).longitude is None
+    assert apply_move(p, move, lon)[1].longitude is lon
+    assert apply_move(p, move)[1].longitude is None
+
+
+@pytest.mark.parametrize("move, lon, after", [
+    (RemoveGenerator("z", "rz"), W("z b"), W("a b^2")),  # z = a b, substituted
+    # the empty word is falsy, and still a longitude the move states
+    (RewriteLongitude((Insertion("r2", True, Word(), 0),)), W("a^3"), Word()),
+])
+def test_a_delta_states_a_longitude_its_move_changes(move, lon, after):
+    p = LONGITUDE_BASE
+    assert move.delta(p, lon).longitude == after
+    assert apply_move(p, move, lon)[1].longitude == after
+
+
+@pytest.mark.parametrize("kind", sorted(MOVE_KINDS))
+def test_macro_is_one_keyword_only_field_of_move(kind):
+    """Move declares macro once; no move kind declares it again."""
+    cls = MOVE_KINDS[kind]
+    macros = [f for f in fields(cls) if f.name == "macro"]
+    assert len(macros) == 1 and macros[0].kw_only and macros[0].default is None
+    assert "macro" not in vars(cls).get("__annotations__", {})
 
 
 def test_replay_trace_pass_and_negative_control():
@@ -349,7 +394,7 @@ def test_a_start_longitude_with_an_undeclared_generator_fails_at_move_0():
     moves = (RotateRelator("r1", 1), RotateRelator("r1", 1))
     p = BASE
     for mv in moves:
-        p = mv.apply(p)
+        p = apply_move(p, mv)[0]
     for check_abelian in (False, True):
         report = replay_trace(DerivationTrace(BASE, moves, p, W("a z"), W("a z")), check_abelian)
         failure = report.first_failure()
@@ -627,7 +672,7 @@ def test_random_move_sequences_preserve_invariants(seed):
         if mv is None:
             continue
         try:
-            p = mv.apply(p)
+            p = apply_move(p, mv)[0]
         except SideConditionViolated:
             continue
         assert p.abelian_invariants() == baseline

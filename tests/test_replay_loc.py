@@ -75,7 +75,7 @@ def test_replay_paths_do_not_grow():
     one raises its bound here and says why in CHANGES.md."""
     closures = replay_loc.count()
     trace, cert = closures["trace replay"], closures["certificate replay"]
-    assert sum(trace.values()) <= 1325, trace
+    assert sum(trace.values()) <= 1314, trace
     assert sum(cert.values()) <= 952, cert
 
 
